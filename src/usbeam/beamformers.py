@@ -1,9 +1,9 @@
 """DAS, DMAS and double-stage DMAS reconstruction kernels.
 
-All kernels are pure per-pixel functions of the delayed sample vector.
-``beamform_image`` applies one of them over a whole delay table, one
-lateral column at a time, and reports the per-pixel operation count of
-the standard complexity model for that kernel.
+DAS sums the delayed samples, DMAS sums one signed-sqrt coupling stage of
+them and DS-DMAS sums two. ``beamform_image`` applies a kernel over a whole
+delay table, one lateral column at a time, and reports the per-pixel
+operation count of the standard complexity model for that kernel.
 """
 
 from __future__ import annotations
@@ -67,12 +67,44 @@ def op_count(kind: BeamformerKind, element_count: int) -> OpCount:
     raise ValueError(f"unknown beamformer kind: {kind!r}")
 
 
+def _couple(x: np.ndarray) -> np.ndarray:
+    """One signed-sqrt coupling stage along the last axis: term i is s_i
+    times the sum of s_j over j > i, with s = signed_sqrt(x), so the M-1
+    terms add up to the pairwise products of DMAS."""
+    v = signed_sqrt(x)
+    suffix = np.flip(np.cumsum(np.flip(v, -1), -1), -1)
+    return v[..., :-1] * suffix[..., 1:]
+
+
+def _dmas_naive_rows(xd: np.ndarray) -> np.ndarray:
+    """Direct pairwise evaluation for a (rows, M) block of delayed samples."""
+    acc = np.zeros(xd.shape[0])
+    for i in range(xd.shape[1] - 1):
+        acc += np.sum(signed_sqrt(xd[:, i : i + 1] * xd[:, i + 1 :]), axis=1)
+    return acc
+
+
+# One reduction over the last (element) axis per kind, shared by the
+# per-pixel functions and beamform_image.
+_KERNELS = {
+    BeamformerKind.DAS: lambda x: np.sum(x, axis=-1),
+    BeamformerKind.DMAS_NAIVE: _dmas_naive_rows,
+    BeamformerKind.DMAS_FAST: lambda x: np.sum(_couple(x), axis=-1),
+    BeamformerKind.DSDMAS: lambda x: np.sum(_couple(_couple(x)), axis=-1),
+}
+
+
+def _vector(delayed, min_size: int, message: str) -> np.ndarray:
+    xd = np.asarray(delayed, dtype=float)
+    if xd.ndim != 1 or xd.size < min_size:
+        raise ValueError(message)
+    return xd
+
+
 def das_pixel(delayed) -> float:
     """Sum of the delayed samples across the aperture."""
-    xd = np.asarray(delayed, dtype=float)
-    if xd.ndim != 1 or xd.size < 1:
-        raise ValueError("delayed samples must form a 1-D vector with at least 1 entry")
-    return float(np.sum(xd))
+    xd = _vector(delayed, 1, "delayed samples must form a 1-D vector with at least 1 entry")
+    return float(_KERNELS[BeamformerKind.DAS](xd))
 
 
 def dmas_pixel_naive(delayed) -> float:
@@ -83,10 +115,7 @@ def dmas_pixel_naive(delayed) -> float:
     Quadratic in the aperture size — kept as the reference evaluation the
     fast form is checked against.
     """
-    xd = np.asarray(delayed, dtype=float)
-    if xd.ndim != 1 or xd.size < 2:
-        raise ValueError("pairwise coupling needs at least 2 elements")
-    xs = xd.tolist()
+    xs = _vector(delayed, 2, "pairwise coupling needs at least 2 elements").tolist()
     total = 0.0
     for i in range(len(xs) - 1):
         xi = xs[i]
@@ -99,12 +128,6 @@ def dmas_pixel_naive(delayed) -> float:
     return total
 
 
-def _pair_product_sum(values: np.ndarray) -> np.ndarray:
-    """Sum of v_i * v_j over all index pairs i < j along the last axis."""
-    suffix = np.flip(np.cumsum(np.flip(values, -1), -1), -1)
-    return np.sum(values[..., :-1] * suffix[..., 1:], axis=-1)
-
-
 def dmas_pixel_fast(delayed) -> float:
     """Pairwise-product beamformer via per-element signed square roots.
 
@@ -113,10 +136,8 @@ def dmas_pixel_fast(delayed) -> float:
     work from one per pair to one per element while computing the same
     value as :func:`dmas_pixel_naive`.
     """
-    xd = np.asarray(delayed, dtype=float)
-    if xd.ndim != 1 or xd.size < 2:
-        raise ValueError("pairwise coupling needs at least 2 elements")
-    return float(_pair_product_sum(signed_sqrt(xd)))
+    xd = _vector(delayed, 2, "pairwise coupling needs at least 2 elements")
+    return float(_KERNELS[BeamformerKind.DMAS_FAST](xd))
 
 
 def stage_one_terms(delayed) -> np.ndarray:
@@ -127,12 +148,7 @@ def stage_one_terms(delayed) -> np.ndarray:
     the DMAS output. Stage two runs the pairwise coupling again on these
     terms.
     """
-    xd = np.asarray(delayed, dtype=float)
-    if xd.ndim != 1 or xd.size < 3:
-        raise ValueError("stage decomposition needs at least 3 elements")
-    v = signed_sqrt(xd)
-    suffix = np.flip(np.cumsum(np.flip(v), 0), 0)
-    return v[:-1] * suffix[1:]
+    return _couple(_vector(delayed, 3, "stage decomposition needs at least 3 elements"))
 
 
 def dsdmas_pixel(delayed) -> float:
@@ -142,17 +158,8 @@ def dsdmas_pixel(delayed) -> float:
     delayed samples into M-1 stage terms, the second pass couples the
     signed square roots of those terms over all their pairs.
     """
-    terms = stage_one_terms(delayed)
-    return float(_pair_product_sum(signed_sqrt(terms)))
-
-
-def _dmas_naive_rows(xd: np.ndarray) -> np.ndarray:
-    """Direct pairwise evaluation for a (rows, M) block of delayed samples."""
-    acc = np.zeros(xd.shape[0])
-    for i in range(xd.shape[1] - 1):
-        prod = xd[:, i : i + 1] * xd[:, i + 1 :]
-        acc += np.sum(np.sign(prod) * np.sqrt(np.abs(prod)), axis=1)
-    return acc
+    xd = _vector(delayed, 3, "stage decomposition needs at least 3 elements")
+    return float(_KERNELS[BeamformerKind.DSDMAS](xd))
 
 
 def beamform_image(frame: RfFrame, delays: DelayTable, kind: BeamformerKind):
@@ -161,7 +168,8 @@ def beamform_image(frame: RfFrame, delays: DelayTable, kind: BeamformerKind):
     Parameters
     ----------
     frame : RfFrame
-        Channel data; its element count must match the delay table.
+        Channel data; its element count and sampling rate must match the
+        delay table.
     delays : DelayTable
         Values of shape (nz, nx, M) from :func:`compute_delays`.
     kind : BeamformerKind
@@ -181,19 +189,11 @@ def beamform_image(frame: RfFrame, delays: DelayTable, kind: BeamformerKind):
     nz, nx, m = values.shape
     if m != frame.element_count:
         raise ValueError("delay table does not match the frame's element count")
+    if delays.fs != frame.fs:
+        raise ValueError(f"delay table built for fs={delays.fs:.6g} Hz, frame sampled at fs={frame.fs:.6g} Hz")
     ops = op_count(kind, m)
+    kernel = _KERNELS[kind]
     out = np.empty((nz, nx))
     for j in range(nx):
-        xd = fetch_delayed(frame, values[:, j, :])
-        if kind is BeamformerKind.DAS:
-            out[:, j] = np.sum(xd, axis=-1)
-        elif kind is BeamformerKind.DMAS_FAST:
-            out[:, j] = _pair_product_sum(signed_sqrt(xd))
-        elif kind is BeamformerKind.DMAS_NAIVE:
-            out[:, j] = _dmas_naive_rows(xd)
-        else:
-            v = signed_sqrt(xd)
-            suffix = np.flip(np.cumsum(np.flip(v, -1), -1), -1)
-            terms = v[..., :-1] * suffix[..., 1:]
-            out[:, j] = _pair_product_sum(signed_sqrt(terms))
+        out[:, j] = kernel(fetch_delayed(frame, values[:, j, :]))
     return out, ops

@@ -38,8 +38,7 @@ class RunConfig:
     z_max: float = 66e-3
     nx: int = 220
     nz: int = 951
-    # beamformer and post-processing
-    algo: str = "das"
+    # post-processing (the beamformer itself is picked by beamform --algo)
     filter_taps: int = 63
     filter_half_bandwidth: float = 1.5e6
     filter_center: float = 0.0  # 0 selects f0 (das) or 2*f0 (product kernels)

@@ -29,11 +29,18 @@ assert _HEADER.size == 64
 
 
 def atomic_write(path: str, payload: bytes) -> None:
-    """Write bytes to a temporary file beside the target, then rename."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    """Write bytes to a uniquely named temporary file beside the target,
+    then rename it into place; the temporary file is removed if either
+    step fails."""
+    tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # umask applies, as with open()
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def write_rf(path: str, frame: RfFrame, pitch: float) -> None:
@@ -46,22 +53,29 @@ def write_rf(path: str, frame: RfFrame, pitch: float) -> None:
     atomic_write(path, header + body)
 
 
-def read_rf(path: str) -> tuple[RfFrame, float]:
-    """Read an RF container; returns the frame and the element pitch."""
+def _read_container(path: str, magic: bytes, what: str):
+    """Read and check a container; returns its two counts, its four floats
+    and the flat float64 payload. ``what`` names it in error messages."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size:
-        raise ValueError(f"{path}: truncated RF container header")
-    magic, version, m, k, fs, f0, c, pitch, _ = _HEADER.unpack_from(raw)
-    if magic != RF_MAGIC:
-        raise ValueError(f"{path}: not an RF container (bad magic)")
+        raise ValueError(f"{path}: truncated {what} container header")
+    found, version, count16, count32, *floats, _ = _HEADER.unpack_from(raw)
+    if found != magic:
+        raise ValueError(f"{path}: not an {what} container (bad magic)")
     if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported RF container version {version}")
-    expected = _HEADER.size + 4 * m * k
+        raise ValueError(f"{path}: unsupported {what} container version {version}")
+    expected = _HEADER.size + 4 * count16 * count32
     if len(raw) != expected:
-        raise ValueError(f"{path}: RF container size {len(raw)} != expected {expected}")
-    samples = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).astype(float).reshape(m, k)
-    return RfFrame(samples=samples, fs=fs, f0=f0, c=c), pitch
+        raise ValueError(f"{path}: {what} container size {len(raw)} != expected {expected}")
+    payload = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).astype(float)
+    return count16, count32, floats, payload
+
+
+def read_rf(path: str) -> tuple[RfFrame, float]:
+    """Read an RF container; returns the frame and the element pitch."""
+    m, k, (fs, f0, c, pitch), payload = _read_container(path, RF_MAGIC, "RF")
+    return RfFrame(samples=payload.reshape(m, k), fs=fs, f0=f0, c=c), pitch
 
 
 def write_image(path: str, image: np.ndarray, grid: ImageGrid) -> None:
@@ -79,20 +93,8 @@ def write_image(path: str, image: np.ndarray, grid: ImageGrid) -> None:
 
 def read_image(path: str) -> tuple[np.ndarray, ImageGrid]:
     """Read an image container; returns the image and its grid."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"{path}: truncated image container header")
-    magic, version, nx, nz, x_min, x_max, z_min, z_max, _ = _HEADER.unpack_from(raw)
-    if magic != IMAGE_MAGIC:
-        raise ValueError(f"{path}: not an image container (bad magic)")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported image container version {version}")
-    expected = _HEADER.size + 4 * nx * nz
-    if len(raw) != expected:
-        raise ValueError(f"{path}: image container size {len(raw)} != expected {expected}")
-    image = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).astype(float).reshape(nz, nx)
-    return image, ImageGrid(x_min=x_min, x_max=x_max, z_min=z_min, z_max=z_max, nx=nx, nz=nz)
+    nx, nz, (x_min, x_max, z_min, z_max), payload = _read_container(path, IMAGE_MAGIC, "image")
+    return payload.reshape(nz, nx), ImageGrid(x_min=x_min, x_max=x_max, z_min=z_min, z_max=z_max, nx=nx, nz=nz)
 
 
 def db_to_gray(image: DbImage) -> np.ndarray:

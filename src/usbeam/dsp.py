@@ -64,28 +64,20 @@ def design_bandpass(spec: FilterSpec, fs: float) -> np.ndarray:
     return h
 
 
-def _filter_line(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    # Edge-replicate so boundary samples see a settled filter; the valid
-    # convolution of the padded signal is exactly group-delay aligned.
-    mid = (h.size - 1) // 2
-    padded = np.concatenate([np.full(mid, x[0]), x, np.full(mid, x[-1])])
-    return np.convolve(padded, h, mode="valid")
-
-
 def bandpass(signal, spec: FilterSpec, fs: float) -> np.ndarray:
     """Band-pass filter a sequence, compensating the group delay.
 
     The output has the same length as the input and is aligned to it
     (symmetric taps, integer group delay removed); boundaries are handled
     by edge replication. DC is rejected exactly by construction and the
-    gain at spec.center is one.
+    gain at spec.center is one. A 1-D view of :func:`bandpass_image`.
     """
     x = np.asarray(signal, dtype=float)
     if x.ndim != 1:
         raise ValueError("signal must be 1-D")
     if x.size <= spec.taps:
         raise ValueError("signal must be longer than the filter")
-    return _filter_line(x, design_bandpass(spec, fs))
+    return bandpass_image(x[:, None], spec, fs)[:, 0]
 
 
 def bandpass_image(image, spec: FilterSpec, axial_rate: float) -> np.ndarray:
@@ -100,18 +92,15 @@ def bandpass_image(image, spec: FilterSpec, axial_rate: float) -> np.ndarray:
     if img.shape[0] <= spec.taps:
         raise ValueError("image has fewer axial samples than filter taps")
     h = design_bandpass(spec, axial_rate)
+    mid = (h.size - 1) // 2
     out = np.empty_like(img)
     for j in range(img.shape[1]):
-        out[:, j] = _filter_line(img[:, j], h)
+        # Edge-replicate so boundary samples see a settled filter; the valid
+        # convolution of the padded line is exactly group-delay aligned.
+        x = img[:, j]
+        padded = np.concatenate([np.full(mid, x[0]), x, np.full(mid, x[-1])])
+        out[:, j] = np.convolve(padded, h, mode="valid")
     return out
-
-
-def _analytic_weights(nfft: int) -> np.ndarray:
-    w = np.zeros(nfft)
-    w[0] = 1.0
-    w[nfft // 2] = 1.0
-    w[1 : nfft // 2] = 2.0
-    return w
 
 
 def envelope(signal) -> np.ndarray:
@@ -120,17 +109,15 @@ def envelope(signal) -> np.ndarray:
     Frequency-domain construction: zero the negative frequencies, double
     the positive ones, inverse-transform and take the magnitude. The
     transform runs at the next power-of-two length; the first and last few
-    percent of samples carry edge transients.
+    percent of samples carry edge transients. A 1-D view of
+    :func:`envelope_image`.
     """
     x = np.asarray(signal, dtype=float)
     if x.ndim != 1:
         raise ValueError("signal must be 1-D")
     if x.size < 4:
         raise ValueError("signal too short for envelope detection")
-    nfft = 1 << (x.size - 1).bit_length()
-    spectrum = np.fft.fft(x, nfft)
-    analytic = np.fft.ifft(spectrum * _analytic_weights(nfft))
-    return np.abs(analytic[: x.size])
+    return envelope_image(x[:, None])[:, 0]
 
 
 def envelope_image(image) -> np.ndarray:
@@ -141,8 +128,11 @@ def envelope_image(image) -> np.ndarray:
     if img.shape[0] < 4:
         raise ValueError("image too short for envelope detection")
     nfft = 1 << (img.shape[0] - 1).bit_length()
+    weights = np.zeros(nfft)
+    weights[0] = weights[nfft // 2] = 1.0
+    weights[1 : nfft // 2] = 2.0
     spectrum = np.fft.fft(img, nfft, axis=0)
-    analytic = np.fft.ifft(spectrum * _analytic_weights(nfft)[:, None], axis=0)
+    analytic = np.fft.ifft(spectrum * weights[:, None], axis=0)
     return np.abs(analytic[: img.shape[0], :])
 
 

@@ -39,22 +39,17 @@ def reconstruct_envelope(
     grid: ImageGrid,
     kind: BeamformerKind,
     filter_spec: FilterSpec | None = None,
-    taps: int = 63,
-    half_bandwidth: float | None = None,
-    center: float | None = None,
 ):
     """Full reconstruction chain: delays, beamforming, band-pass along each
     line, envelope detection.
 
     Returns the envelope-domain image (nz, nx) and the per-pixel operation
-    count of the beamforming kernel. The grid's axial spacing must be fine
-    enough for the filter passband to clear the line's Nyquist limit.
+    count of the beamforming kernel. ``filter_spec=None`` selects
+    ``default_filter(kind, frame.f0)``. The grid's axial spacing must be
+    fine enough for the filter passband to clear the line's Nyquist limit.
     """
     delays = compute_delays(geometry, grid, frame.fs)
-    return reconstruct_envelope_from_delays(
-        frame, delays, grid, kind,
-        filter_spec=filter_spec, taps=taps, half_bandwidth=half_bandwidth, center=center,
-    )
+    return reconstruct_envelope_from_delays(frame, delays, grid, kind, filter_spec=filter_spec)
 
 
 def reconstruct_envelope_from_delays(
@@ -63,14 +58,9 @@ def reconstruct_envelope_from_delays(
     grid: ImageGrid,
     kind: BeamformerKind,
     filter_spec: FilterSpec | None = None,
-    taps: int = 63,
-    half_bandwidth: float | None = None,
-    center: float | None = None,
 ):
     """Reconstruction chain reusing a precomputed delay table."""
     raw, ops = beamform_image(frame, delays, kind)
-    spec = filter_spec or default_filter(kind, frame.f0, taps=taps,
-                                         half_bandwidth=half_bandwidth, center=center)
-    rate = axial_sample_rate(grid, frame.c)
-    filtered = bandpass_image(raw, spec, rate)
+    spec = filter_spec or default_filter(kind, frame.f0)
+    filtered = bandpass_image(raw, spec, axial_sample_rate(grid, frame.c))
     return envelope_image(filtered), ops

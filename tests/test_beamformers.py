@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from usbeam import (
     BeamformerKind,
@@ -46,6 +48,66 @@ def dsdmas_expansion_oracle(xd):
             p = terms[i] * terms[j]
             out += math.sqrt(p) if p >= 0 else -math.sqrt(-p)
     return out
+
+
+def abs_pair_sum(values):
+    """Sum of |signed_sqrt(v_i * v_j)| over all pairs i < j: the scale that
+    cancellation among the pair terms of a coupling stage can reach."""
+    r = np.sqrt(np.abs(np.asarray(values, dtype=float)))
+    return float((r.sum() ** 2 - np.sum(r * r)) / 2.0)
+
+
+def dsdmas_tolerance(xd):
+    """1e-9 times the absolute pair terms of both stages, plus a 1e-9
+    relative error of each stage-one term carried through the second
+    signed square root. That root amplifies the error of a term that
+    nearly cancels: |sqrt(t + d) - sqrt(t)| <= min(sqrt(d), d / sqrt(t))."""
+    r = np.sqrt(np.abs(xd))
+    row_scale = r[:-1] * np.cumsum(r[::-1])[::-1][1:]
+    terms = np.abs(stage_one_terms(xd))
+    roots = np.sqrt(terms)
+    delta = 1e-9 * row_scale
+    ratio = np.divide(delta, roots, out=np.full_like(delta, np.inf), where=roots > 0)
+    carried = np.minimum(np.sqrt(delta), ratio)
+    return 1e-9 * (abs_pair_sum(xd) + abs_pair_sum(terms)) + float(np.sum(carried * (roots.sum() - roots)))
+
+
+# Apertures of 3..128 elements: zeros and samples of either sign with
+# magnitudes spanning thirteen decades, so no pair product under- or
+# overflows; derandomized so every run draws the same examples.
+samples = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+              st.sampled_from((-1.0, 1.0)), st.floats(1.0, 10.0), st.integers(-6, 6)),
+)
+apertures = st.integers(3, 128).flatmap(
+    lambda m: st.lists(samples, min_size=m, max_size=m)
+).map(np.array)
+property_settings = settings(max_examples=30, derandomize=True, database=None, deadline=None)
+
+# The last sample is -(sqrt(12) + sqrt(26))**2, so stage-one term 0 is
+# rounding noise (-8.9e-15) and the double-stage output differs from the
+# expansion by 7.5 times 1e-9 of the two stages' absolute pair terms.
+CANCELLING_TERM = np.array([100.0, 12.0, 26.0, -73.32704346531139])
+
+
+class TestKernelProperties:
+    @property_settings
+    @given(apertures)
+    def test_fast_dmas_matches_naive(self, xd):
+        assert abs(dmas_pixel_fast(xd) - dmas_pixel_naive(xd)) <= 1e-9 * abs_pair_sum(xd)
+
+    @property_settings
+    @given(apertures)
+    def test_stage_one_terms_sum_to_dmas(self, xd):
+        total = float(stage_one_terms(xd).sum())
+        assert abs(total - dmas_pixel_naive(xd)) <= 1e-9 * abs_pair_sum(xd)
+
+    @property_settings
+    @given(apertures)
+    @example(CANCELLING_TERM)
+    def test_dsdmas_matches_expansion_oracle(self, xd):
+        assert abs(dsdmas_pixel(xd) - dsdmas_expansion_oracle(xd)) <= dsdmas_tolerance(xd)
 
 
 class TestDas:
@@ -225,6 +287,12 @@ class TestBeamformImage:
         other = RfFrame(samples=np.zeros((5, 50)), fs=100e6, f0=3e6, c=1540.0)
         with pytest.raises(ValueError):
             beamform_image(other, delays, BeamformerKind.DAS)
+
+    def test_rejects_mismatched_sampling_rate(self, scene):
+        frame, delays = scene
+        slower = RfFrame(samples=frame.samples, fs=50e6, f0=3e6, c=1540.0)
+        with pytest.raises(ValueError, match=r"fs=1e\+08 Hz, frame sampled at fs=5e\+07 Hz"):
+            beamform_image(slower, delays, BeamformerKind.DAS)
 
     def test_propagates_kernel_preconditions(self):
         frame = RfFrame(samples=np.zeros((2, 50)), fs=100e6, f0=3e6, c=1540.0)

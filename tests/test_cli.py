@@ -239,9 +239,12 @@ class TestConfig:
         out = str(tmp_path / "ok.urf")
         assert run(["simulate", "--config", str(cfg), "--out", out]) == 0
 
-    def test_unknown_key_fails(self, tmp_path, capsys):
+    # algo is not a config key: beamform --algo picks the kernel
+    @pytest.mark.parametrize("line", ["element_count = 8", "algo = dmas"],
+                             ids=["element_count", "algo"])
+    def test_unknown_key_fails(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("element_count = 8\n")
+        cfg.write_text(line + "\n")
         assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.urf")]) == 1
         assert "unknown config key" in capsys.readouterr().err
 

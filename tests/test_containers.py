@@ -1,8 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 
-from usbeam import DbImage, ImageGrid, RfFrame
+from usbeam import DbImage, ImageGrid, RfFrame, containers
 from usbeam.containers import (
+    atomic_write,
     db_to_gray,
     read_image,
     read_rf,
@@ -89,6 +92,31 @@ class TestImageContainer:
         write_rf(path, frame, pitch=0.3e-3)
         with pytest.raises(ValueError, match="magic"):
             read_image(path)
+
+
+class TestAtomicWrite:
+    def test_leaves_existing_tmp_sibling_untouched(self, tmp_path):
+        sibling = tmp_path / "out.bin.tmp"
+        sibling.write_bytes(b"someone else's data")
+        atomic_write(str(tmp_path / "out.bin"), b"payload")
+        assert (tmp_path / "out.bin").read_bytes() == b"payload"
+        assert sibling.read_bytes() == b"someone else's data"
+
+    def test_failed_rename_reraises_and_cleans_up(self, tmp_path, monkeypatch):
+        def failing_replace(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(containers.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename refused"):
+            atomic_write(str(tmp_path / "out.bin"), b"payload")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_mode_matches_plain_open(self, tmp_path):
+        with open(tmp_path / "plain.bin", "wb") as fh:
+            fh.write(b"x")
+        atomic_write(str(tmp_path / "atomic.bin"), b"x")
+        plain = os.stat(tmp_path / "plain.bin").st_mode
+        assert os.stat(tmp_path / "atomic.bin").st_mode == plain
 
 
 class TestRendering:

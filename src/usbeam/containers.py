@@ -75,6 +75,8 @@ def _read_container(path: str, magic: bytes, what: str):
 def read_rf(path: str) -> tuple[RfFrame, float]:
     """Read an RF container; returns the frame and the element pitch."""
     m, k, (fs, f0, c, pitch), payload = _read_container(path, RF_MAGIC, "RF")
+    if not (np.isfinite(pitch) and pitch > 0):
+        raise ValueError(f"{path}: RF container pitch must be finite and positive, got {pitch!r}")
     return RfFrame(samples=payload.reshape(m, k), fs=fs, f0=f0, c=c), pitch
 
 

@@ -75,6 +75,10 @@ class ImageGrid:
     def __post_init__(self):
         if self.nx < 1 or self.nz < 1:
             raise ValueError("nx and nz must be >= 1")
+        for name in ("x_min", "x_max", "z_min", "z_max"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"grid extent {name} must be finite, got {value!r}")
         if not self.z_min > 0:
             raise ValueError("z_min must be positive (imaging starts below the array face)")
         if self.x_max < self.x_min or self.z_max < self.z_min:
@@ -137,7 +141,8 @@ def compute_delays(geometry: ArrayGeometry, grid: ImageGrid, fs: float) -> Delay
     dx = x[None, :, None] - geometry.element_x[None, None, :]
     zz = z[:, None, None]
     # One large allocation: receive path, then add transmit time, then scale.
-    travel = np.sqrt(dx * dx + zz * zz)
+    travel = dx * dx + zz * zz
+    np.sqrt(travel, out=travel)
     travel /= c
     travel += zz / c
     travel *= fs

@@ -24,10 +24,14 @@ class RfFrame:
         s = np.asarray(self.samples, dtype=float)
         if s.ndim != 2 or s.shape[1] < 1:
             raise ValueError("samples must be a 2-D elements-by-time matrix")
+        if s.shape[0] < 1:
+            raise ValueError("samples must hold at least one element")
         if not np.all(np.isfinite(s)):
             raise ValueError("samples must be finite")
-        if not (self.fs > 0 and self.f0 > 0 and self.c > 0):
-            raise ValueError("fs, f0 and c must be positive")
+        for name in ("fs", "f0", "c"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if not self.fs > 2.0 * self.f0:
             raise ValueError("fs must exceed 2 * f0")
         object.__setattr__(self, "samples", s)

@@ -66,6 +66,8 @@ class Phantom:
             raise ValueError("scatterers must be an (N, 3) array of (x, z, amplitude)")
         if not np.all(np.isfinite(s)):
             raise ValueError("scatterer entries must be finite")
+        if not self.z_bounds[0] > 0:
+            raise ValueError("scatterers must lie below the array face (z_bounds[0] > 0)")
         if s.shape[0]:
             x, z = s[:, 0], s[:, 1]
             if (
@@ -111,9 +113,10 @@ TUMOR_AMPLITUDE_GAIN = 3.0
 TUMOR_WIRE_POSITION = (6e-3, 26e-3)
 TUMOR_WIRE_AMPLITUDE = 8.0
 
-# Scatterers per accumulation chunk. Fixed so a given scene always sums in
-# the same order, keeping synthesis bit-reproducible.
-_ACCUM_CHUNK = 256
+# Scatterers per impulse-accumulation chunk. Fixed so a given scene always
+# sums in the same order, keeping synthesis bit-reproducible; it also bounds
+# the per-pair temporaries to a few (chunk, M) arrays.
+_ACCUM_CHUNK = 2048
 
 
 def make_wire_phantom(pair_separation: float = DEFAULT_PAIR_SEPARATION) -> Phantom:
@@ -222,8 +225,16 @@ def synthesize_rf(
     the axial transmit time plus the scatterer-to-element return time and
     scaled by amplitude / return distance. There is no element directivity
     and no attenuation; spreading loss applies to the receive path only.
-    Contributions accumulate in fixed-size scatterer chunks so that a
-    given scene always sums in the same order.
+
+    The channels are built in the linear-systems form: each channel is an
+    impulse train convolved once with the round-trip pulse p. A
+    scatterer-element pair arriving at fractional sample ``a`` with
+    weight w contributes w * (1 - frac) at k0 = ceil(a) and w * frac at
+    k0 - 1, where frac = k0 - a. That equals the pair's linearly
+    interpolated pulse w * ((1 - frac) * p[n] + frac * p[n + 1]) at k0 + n
+    because p[0] == 0, and k0 - 1 >= 0 because every scatterer lies below
+    the array face. Impulses accumulate in fixed-size scatterer chunks so
+    that a given scene always sums in the same order.
 
     Parameters
     ----------
@@ -248,8 +259,6 @@ def synthesize_rf(
     if impulse_response is None:
         impulse_response = PulseModel(f0=pulse.f0, cycles=2, weighting=PulseWeighting.HANN)
     p = round_trip_pulse(pulse, impulse_response, fs)
-    p_next = np.append(p[1:], 0.0)
-    length = p.size
 
     c = geometry.sound_speed
     ex = geometry.element_x
@@ -257,27 +266,26 @@ def synthesize_rf(
     x_abs_max = max(abs(phantom.x_bounds[0]), abs(phantom.x_bounds[1]))
     z_max = phantom.z_bounds[1]
     r_bound = math.hypot(x_abs_max + float(np.max(np.abs(ex))), z_max)
-    k_count = int(math.ceil(fs * (z_max + r_bound) / c)) + length + 2
+    k_count = int(math.ceil(fs * (z_max + r_bound) / c)) + p.size + 2
 
-    buffer = np.zeros(m * k_count)
-    chan_base = (np.arange(m) * k_count)[None, :, None]
-    offsets = np.arange(length)[None, None, :]
+    train = np.zeros(m * k_count)
+    chan_base = np.arange(m) * k_count
     for start in range(0, scatterers.shape[0], _ACCUM_CHUNK):
         chunk = scatterers[start : start + _ACCUM_CHUNK]
         sx = chunk[:, 0][:, None]
         sz = chunk[:, 1][:, None]
-        amp = chunk[:, 2][:, None]
         r = np.sqrt((sx - ex[None, :]) ** 2 + sz**2)
         arrival = (sz / c + r / c) * fs
         k0 = np.ceil(arrival).astype(np.int64)
         frac = k0 - arrival
-        weight = amp / r
-        seg = weight[..., None] * (
-            (1.0 - frac)[..., None] * p[None, None, :] + frac[..., None] * p_next[None, None, :]
-        )
-        flat = chan_base + k0[..., None] + offsets
-        buffer += np.bincount(flat.ravel(), weights=seg.ravel(), minlength=buffer.size)
-    return RfFrame(samples=buffer.reshape(m, k_count), fs=float(fs), f0=pulse.f0, c=c)
+        weight = chunk[:, 2][:, None] / r
+        flat = (chan_base + k0).ravel()
+        train += np.bincount(flat, weights=(weight * (1.0 - frac)).ravel(), minlength=train.size)
+        train += np.bincount(flat - 1, weights=(weight * frac).ravel(), minlength=train.size)
+    samples = np.empty((m, k_count))
+    for i, row in enumerate(train.reshape(m, k_count)):
+        samples[i] = np.convolve(row, p)[:k_count]
+    return RfFrame(samples=samples, fs=float(fs), f0=pulse.f0, c=c)
 
 
 def signal_power(samples: np.ndarray) -> float:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,11 @@ class TestSimulate:
                     "--out", str(tmp_path / "x.urf")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_scatterer_above_array_face_fails(self, tmp_path, capsys):
+        assert run(["simulate", "--phantom", "custom", "--custom-scatterers", "0,-5,1",
+                    "--elements", "4", "--snr-db", "300", "--out", str(tmp_path / "f.urf")]) == 1
+        assert "below the array face" in capsys.readouterr().err
+
     @pytest.mark.parametrize("phantom", ["cysts", "tumor"])
     def test_speckle_phantoms_simulate(self, tmp_path, phantom):
         # sparse speckle keeps the run fast; exercises the phantom builders
@@ -110,6 +117,16 @@ class TestBeamform:
         assert run(["beamform", rf, "--algo", "dsdmas", *GRID_FLAGS,
                     "--out", str(tmp_path / "x.uim")]) == 1
         assert "at least 3" in capsys.readouterr().err
+
+    def test_non_finite_sound_speed_is_named(self, wire_rf, tmp_path, capsys):
+        with open(wire_rf, "rb") as fh:
+            raw = bytearray(fh.read())
+        raw[28:36] = struct.pack("<d", float("inf"))  # the c field of the header
+        bad = tmp_path / "bad_c.urf"
+        bad.write_bytes(bytes(raw))
+        assert run(["beamform", str(bad), "--algo", "das", *GRID_FLAGS,
+                    "--out", str(tmp_path / "x.uim")]) == 1
+        assert "c must be finite" in capsys.readouterr().err
 
     def test_missing_rf_file_is_runtime_error(self, tmp_path):
         assert run(["beamform", str(tmp_path / "nope.urf"), "--algo", "das",

@@ -1,7 +1,11 @@
 import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from usbeam import DbImage, ImageGrid, RfFrame, containers
 from usbeam.containers import (
@@ -92,6 +96,119 @@ class TestImageContainer:
         write_rf(path, frame, pitch=0.3e-3)
         with pytest.raises(ValueError, match="magic"):
             read_image(path)
+
+
+property_settings = settings(max_examples=30, derandomize=True, database=None, deadline=None)
+values = st.floats(-1e30, 1e30)  # finite after float32 quantization
+sizes = st.integers(1, 6)
+
+
+@st.composite
+def rf_frames(draw):
+    f0 = draw(st.floats(1e3, 1e8))
+    frame = RfFrame(
+        samples=draw(arrays(float, (draw(sizes), draw(st.integers(1, 12))), elements=values)),
+        fs=f0 * draw(st.floats(2.001, 100.0)),
+        f0=f0,
+        c=draw(st.floats(1.0, 1e4)),
+    )
+    return frame, draw(st.floats(1e-6, 1e-2))
+
+
+@st.composite
+def images(draw):
+    x_min, z_min = draw(st.floats(-1.0, 1.0)), draw(st.floats(1e-6, 1.0))
+    grid = ImageGrid(
+        x_min=x_min,
+        x_max=x_min + draw(st.floats(0.0, 1.0)),
+        z_min=z_min,
+        z_max=z_min + draw(st.floats(0.0, 1.0)),
+        nx=draw(sizes),
+        nz=draw(sizes),
+    )
+    return draw(arrays(float, (grid.nz, grid.nx), elements=values)), grid
+
+
+def written(path, item):
+    """Write an RF (frame, pitch) or an (image, grid) pair; returns the reader."""
+    if isinstance(item[0], RfFrame):
+        write_rf(path, *item)
+        return read_rf
+    write_image(path, *item)
+    return read_image
+
+
+def assert_reads_finite_or_raises_value_error(read, path):
+    try:
+        loaded = read(path)
+    except ValueError:
+        return
+    if read is read_rf:
+        frame, pitch = loaded
+        metadata = [frame.fs, frame.f0, frame.c, pitch]
+    else:
+        grid = loaded[1]
+        metadata = [grid.x_min, grid.x_max, grid.z_min, grid.z_max]
+    assert np.all(np.isfinite(metadata))
+
+
+class TestContainerProperties:
+    @property_settings
+    @given(rf_frames())
+    def test_rf_round_trip_is_float32_quantization(self, tmp_path_factory, item):
+        path = str(tmp_path_factory.mktemp("rf") / "f.urf")
+        frame, pitch = item
+        write_rf(path, frame, pitch)
+        loaded, loaded_pitch = read_rf(path)
+        assert (loaded.fs, loaded.f0, loaded.c, loaded_pitch) == (frame.fs, frame.f0, frame.c, pitch)
+        assert np.array_equal(loaded.samples, frame.samples.astype("<f4").astype(float))
+
+    @property_settings
+    @given(images())
+    def test_image_round_trip_is_float32_quantization(self, tmp_path_factory, item):
+        path = str(tmp_path_factory.mktemp("img") / "i.uim")
+        image, grid = item
+        write_image(path, image, grid)
+        loaded, loaded_grid = read_image(path)
+        assert loaded_grid == grid
+        assert np.array_equal(loaded, image.astype("<f4").astype(float))
+
+    @property_settings
+    @given(st.one_of(rf_frames(), images()))
+    def test_every_truncation_is_rejected(self, tmp_path_factory, item):
+        path = tmp_path_factory.mktemp("cut") / "f.bin"
+        read = written(str(path), item)
+        raw = path.read_bytes()
+        for length in range(len(raw)):
+            path.write_bytes(raw[:length])
+            with pytest.raises(ValueError):
+                read(str(path))
+
+    @property_settings
+    @given(st.one_of(rf_frames(), images()), st.sampled_from((0, 4, 6, 12)), st.binary(min_size=64, max_size=64))
+    def test_random_header_bytes_read_finite_or_raise_value_error(self, tmp_path_factory, item, keep, noise):
+        # keep the first 0, 4 (magic), 6 (+ version) or 12 (+ counts) header
+        # bytes and replace the rest with random bytes
+        path = tmp_path_factory.mktemp("fuzz") / "f.bin"
+        read = written(str(path), item)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:keep] + noise[keep:] + raw[64:])
+        assert_reads_finite_or_raises_value_error(read, str(path))
+
+    @property_settings
+    @given(
+        st.one_of(rf_frames(), images()),
+        st.integers(0, 3),
+        st.sampled_from((np.inf, -np.inf, np.nan)) | st.floats(),
+    )
+    def test_random_float_field_reads_finite_or_raises_value_error(self, tmp_path_factory, item, field, value):
+        # overwrite one of the four float64 header fields (bytes 12-43)
+        path = tmp_path_factory.mktemp("fuzz") / "f.bin"
+        read = written(str(path), item)
+        raw = bytearray(path.read_bytes())
+        raw[12 + 8 * field : 20 + 8 * field] = struct.pack("<d", value)
+        path.write_bytes(bytes(raw))
+        assert_reads_finite_or_raises_value_error(read, str(path))
 
 
 class TestAtomicWrite:

@@ -47,6 +47,15 @@ def test_grid_invariants(kwargs):
         ImageGrid(**kwargs)
 
 
+@pytest.mark.parametrize("field", ["x_min", "x_max", "z_min", "z_max"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_grid_rejects_non_finite_extents(field, value):
+    kwargs = dict(x_min=-1e-3, x_max=1e-3, z_min=1e-3, z_max=2e-3, nx=2, nz=2)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"extent {field} must be finite"):
+        ImageGrid(**kwargs)
+
+
 def test_delays_on_axis_round_trip():
     # pixel directly above an element: transmit and receive paths are both z/c
     geom = linear_array(3, 1e-4)

@@ -17,6 +17,18 @@ def test_frame_validation():
         make_frame(np.zeros(8))  # not 2-D
 
 
+def test_frame_rejects_zero_elements():
+    with pytest.raises(ValueError, match="at least one element"):
+        make_frame(np.zeros((0, 8)))
+
+
+@pytest.mark.parametrize("field", ["fs", "f0", "c"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_frame_rejects_non_finite_metadata(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        make_frame(np.zeros((2, 8)), **{field: value})
+
+
 def test_signed_sqrt_reference_values():
     assert signed_sqrt(0.0) == 0.0
     assert signed_sqrt(4.0) == 2.0

@@ -18,6 +18,7 @@ from usbeam import (
     synthesize_rf,
 )
 from usbeam.simulator import (
+    _ACCUM_CHUNK,
     CYST_DEPTHS,
     CYST_NARROW_RADIUS,
     CYST_NARROW_X,
@@ -94,6 +95,11 @@ class TestPhantoms:
                 x_bounds=(-1e-3, 1e-3),
                 z_bounds=(5e-3, 20e-3),
             )
+
+    @pytest.mark.parametrize("z", [0.0, -5e-3])
+    def test_phantom_rejects_scatterers_not_below_array_face(self, z):
+        with pytest.raises(ValueError, match="below the array face"):
+            point_phantom(0.0, z)
 
 
 class TestPulse:
@@ -173,6 +179,32 @@ class TestSynthesize:
         left = synthesize_rf(point_phantom(-0.9e-3, 14e-3), geom, PULSE, FS)
         right = synthesize_rf(point_phantom(0.9e-3, 14e-3), geom, PULSE, FS)
         assert np.allclose(left.samples, right.samples[::-1, :], atol=1e-9)
+
+    def test_matches_per_pair_placement_oracle(self):
+        # Oracle: each scatterer-element pair adds its own linearly
+        # interpolated pulse, w * ((1 - frac) * p[n] + frac * p[n + 1]) at
+        # k0 + n. More scatterers than one accumulation chunk, both signs.
+        rng = np.random.default_rng(8)
+        count = _ACCUM_CHUNK + 500
+        scatterers = np.column_stack([
+            rng.uniform(-3e-3, 3e-3, count), rng.uniform(5e-3, 15e-3, count), rng.uniform(-1.0, 1.0, count)
+        ])
+        phantom = Phantom(scatterers, PhantomLabel.CUSTOM, x_bounds=(-3e-3, 3e-3), z_bounds=(5e-3, 15e-3))
+        geom = linear_array(6, 0.3e-3)
+        frame = synthesize_rf(phantom, geom, PULSE, FS)
+
+        p = round_trip_pulse(PULSE, PulseModel(f0=3e6, cycles=2, weighting=PulseWeighting.HANN), FS)
+        p_next = np.append(p[1:], 0.0)
+        sx, sz, amp = (scatterers[:, i : i + 1] for i in range(3))
+        r = np.sqrt((sx - geom.element_x) ** 2 + sz**2)
+        arrival = (sz / 1540.0 + r / 1540.0) * FS
+        k0 = np.ceil(arrival).astype(np.int64)
+        frac = (k0 - arrival)[..., None]
+        segments = (amp / r)[..., None] * ((1.0 - frac) * p + frac * p_next)
+        oracle = np.zeros_like(frame.samples)
+        for i in range(geom.element_count):
+            np.add.at(oracle[i], k0[:, i, None] + np.arange(p.size), segments[:, i])
+        assert np.max(np.abs(frame.samples - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
     def test_rejects_empty_phantom(self):
         geom = linear_array(4, 0.3e-3)

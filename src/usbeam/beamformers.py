@@ -2,7 +2,7 @@
 
 DAS sums the delayed samples, DMAS sums one signed-sqrt coupling stage of
 them and DS-DMAS sums two. ``beamform_image`` applies a kernel over a whole
-delay table, one lateral column at a time, and reports the per-pixel
+image grid, one lateral column of delays at a time, and reports the per-pixel
 operation count of the standard complexity model for that kernel.
 """
 
@@ -171,7 +171,7 @@ def dsdmas_pixel(delayed) -> float:
 
 
 def beamform_image(frame: RfFrame, delays: DelayTable, kind: BeamformerKind):
-    """Apply a beamforming kernel at every pixel of a delay table.
+    """Apply a beamforming kernel at every pixel of a delay table's grid.
 
     Parameters
     ----------
@@ -179,7 +179,7 @@ def beamform_image(frame: RfFrame, delays: DelayTable, kind: BeamformerKind):
         Channel data; its element count and sampling rate must match the
         delay table.
     delays : DelayTable
-        Values of shape (nz, nx, M) from :func:`compute_delays`.
+        From :func:`compute_delays`.
     kind : BeamformerKind
 
     Returns
@@ -188,20 +188,18 @@ def beamform_image(frame: RfFrame, delays: DelayTable, kind: BeamformerKind):
         The raw, pre-filter beamformer output of shape (nz, nx), and the
         per-pixel operation count for this kernel.
 
-    Columns are processed one at a time to bound memory; the output equals
-    per-pixel application of the corresponding kernel.
+    Columns are processed one at a time: each column's delays are computed,
+    gathered and reduced, so the full (nz, nx, M) table is never built.
+    The output equals per-pixel application of the corresponding kernel.
     """
-    values = delays.values
-    if values.ndim != 3:
-        raise ValueError("delay table values must have shape (nz, nx, elements)")
-    nz, nx, m = values.shape
+    m = delays.geometry.element_count
     if m != frame.element_count:
         raise ValueError("delay table does not match the frame's element count")
     if delays.fs != frame.fs:
         raise ValueError(f"delay table built for fs={delays.fs:.6g} Hz, frame sampled at fs={frame.fs:.6g} Hz")
     ops = op_count(kind, m)
     kernel = _KERNELS[kind]
-    out = np.empty((nz, nx))
-    for j in range(nx):
-        out[:, j] = kernel(fetch_delayed(frame, values[:, j, :]))
+    out = np.empty((delays.grid.nz, delays.grid.nx))
+    for j in range(delays.grid.nx):
+        out[:, j] = kernel(fetch_delayed(frame, delays.column(j)))
     return out, ops

@@ -101,14 +101,48 @@ class ImageGrid:
 
 @dataclass(frozen=True)
 class DelayTable:
-    """Per-pixel, per-element fractional sample delays.
+    """Per-pixel, per-element fractional sample delays, computed on demand.
 
-    values has shape (nz, nx, element_count) and holds real-valued sample
-    indices; fs is the sampling rate the delays were scaled with.
+    The table is a descriptor of (geometry, grid, fs): ``column(j)`` gives
+    the (nz, element_count) delays of image column j, and ``values`` builds
+    the whole (nz, nx, element_count) table each time it is read, so
+    nothing holds the full table unless a caller asks for it. Both use the
+    same element-wise arithmetic, so a column equals the matching slice of
+    the table bit for bit. fs is the sampling rate the delays are scaled
+    with.
     """
 
-    values: np.ndarray
+    geometry: ArrayGeometry
+    grid: ImageGrid
     fs: float
+
+    def __post_init__(self):
+        if not self.fs > 0:
+            raise ValueError("fs must be positive")
+        if not self.grid.z_min > 0:
+            raise ValueError("grid must start below the array face (z_min > 0)")
+
+    def _delays(self, x, z) -> np.ndarray:
+        # x and z broadcast against the trailing element axis. The receive
+        # path is built in one allocation, then the transmit time is added
+        # and the sum scaled, all in place.
+        c = self.geometry.sound_speed
+        dx = x - self.geometry.element_x
+        travel = dx * dx + z * z
+        np.sqrt(travel, out=travel)
+        travel /= c
+        travel += z / c
+        travel *= self.fs
+        return travel
+
+    def column(self, j: int) -> np.ndarray:
+        """Delays of image column j, shape (nz, element_count)."""
+        return self._delays(self.grid.x_axis[j], self.grid.z_axis[:, None])
+
+    @property
+    def values(self) -> np.ndarray:
+        """The full (nz, nx, element_count) table, built on every read."""
+        return self._delays(self.grid.x_axis[:, None], self.grid.z_axis[:, None, None])
 
 
 def compute_delays(geometry: ArrayGeometry, grid: ImageGrid, fs: float) -> DelayTable:
@@ -117,7 +151,7 @@ def compute_delays(geometry: ArrayGeometry, grid: ImageGrid, fs: float) -> Delay
     Transmit travel to a pixel is modeled as straight axial propagation
     (z / c); receive travel is the exact Euclidean distance from the pixel
     back to each element. The sum is scaled by the sampling rate, so the
-    resulting table addresses fractional sample positions directly.
+    delays address fractional sample positions directly.
 
     Parameters
     ----------
@@ -129,21 +163,9 @@ def compute_delays(geometry: ArrayGeometry, grid: ImageGrid, fs: float) -> Delay
     Returns
     -------
     DelayTable
-        Delay values of shape (nz, nx, element_count).
+        A descriptor that computes the delays per column
+        (:meth:`DelayTable.column`) or as a full (nz, nx, element_count)
+        table (:attr:`DelayTable.values`) when asked; building it allocates
+        no delays.
     """
-    if not fs > 0:
-        raise ValueError("fs must be positive")
-    if not grid.z_min > 0:
-        raise ValueError("grid must start below the array face (z_min > 0)")
-    c = geometry.sound_speed
-    x = grid.x_axis
-    z = grid.z_axis
-    dx = x[None, :, None] - geometry.element_x[None, None, :]
-    zz = z[:, None, None]
-    # One large allocation: receive path, then add transmit time, then scale.
-    travel = dx * dx + zz * zz
-    np.sqrt(travel, out=travel)
-    travel /= c
-    travel += zz / c
-    travel *= fs
-    return DelayTable(values=travel, fs=float(fs))
+    return DelayTable(geometry, grid, float(fs))

@@ -59,7 +59,7 @@ def reconstruct_envelope_from_delays(
     kind: BeamformerKind,
     filter_spec: FilterSpec | None = None,
 ):
-    """Reconstruction chain reusing a precomputed delay table."""
+    """Reconstruction chain reusing a delay table from :func:`compute_delays`."""
     raw, ops = beamform_image(frame, delays, kind)
     spec = filter_spec or default_filter(kind, frame.f0)
     filtered = bandpass_image(raw, spec, axial_sample_rate(grid, frame.c))

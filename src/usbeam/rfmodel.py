@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -11,14 +11,18 @@ import numpy as np
 class RfFrame:
     """Raw channel data plus acquisition metadata.
 
-    samples[i, k] is the value recorded by element i at time index k.
-    The frame is treated as immutable after construction.
+    samples[i, k] is the value recorded by element i at time index k. The
+    frame copies the samples into one read-only buffer with one zero before
+    and two after each channel, the layout :func:`fetch_delayed` reads;
+    ``samples`` is a view of that buffer, so the frame never aliases the
+    caller's array.
     """
 
     samples: np.ndarray
     fs: float
     f0: float
     c: float
+    _padded: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=float)
@@ -34,7 +38,11 @@ class RfFrame:
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if not self.fs > 2.0 * self.f0:
             raise ValueError("fs must exceed 2 * f0")
-        object.__setattr__(self, "samples", s)
+        padded = np.zeros((s.shape[0], s.shape[1] + 3))
+        padded[:, 1:-2] = s
+        padded.flags.writeable = False
+        object.__setattr__(self, "_padded", padded)
+        object.__setattr__(self, "samples", padded[:, 1:-2])
 
     @property
     def element_count(self) -> int:
@@ -64,18 +72,27 @@ def fetch_delayed(frame: RfFrame, delays) -> np.ndarray:
     The last axis of ``delays`` indexes the elements, so a vector of M
     delays yields one delayed sample per element and an (nz, M) block
     yields a column of them. Sample positions outside [0, K-1] contribute
-    zero (the pixel lies outside the recorded window).
+    zero (the pixel lies outside the recorded window). The delays must be
+    finite.
+
+    Both neighbours are read with ``np.take`` from the frame's zero-padded
+    buffer. Clipping the delays to [-1, K] lands every out-of-window
+    position on the padding, so no mask is needed and the result equals
+    masking each neighbour outside [0, K-1] to zero.
     """
     d = np.asarray(delays, dtype=float)
     if d.shape[-1] != frame.element_count:
         raise ValueError("last axis of delays must match the frame's element count")
-    samples = frame.samples
-    k_last = frame.sample_count - 1
-    i0 = np.floor(d).astype(np.int64)
+    if not np.all(np.isfinite(d)):
+        raise ValueError("delays must be finite")
+    padded = frame._padded
+    d = np.clip(d, -1.0, frame.sample_count)
+    i0 = np.floor(d)
     frac = d - i0
-    chan = np.arange(frame.element_count).reshape((1,) * (d.ndim - 1) + (-1,))
-    lo_ok = (i0 >= 0) & (i0 <= k_last)
-    hi_ok = (i0 >= -1) & (i0 < k_last)
-    lo = samples[chan, np.clip(i0, 0, k_last)]
-    hi = samples[chan, np.clip(i0 + 1, 0, k_last)]
-    return np.where(lo_ok, lo, 0.0) * (1.0 - frac) + np.where(hi_ok, hi, 0.0) * frac
+    # flat index into the padded buffer: row base, plus one for the leading zero
+    flat = i0.astype(np.int64)
+    flat += np.arange(frame.element_count) * padded.shape[1] + 1
+    lo = np.take(padded, flat)
+    flat += 1
+    hi = np.take(padded, flat)
+    return lo * (1.0 - frac) + hi * frac

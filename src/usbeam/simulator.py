@@ -66,6 +66,10 @@ class Phantom:
             raise ValueError("scatterers must be an (N, 3) array of (x, z, amplitude)")
         if not np.all(np.isfinite(s)):
             raise ValueError("scatterer entries must be finite")
+        for name in ("x_bounds", "z_bounds"):
+            bounds = getattr(self, name)
+            if not np.all(np.isfinite(bounds)):
+                raise ValueError(f"{name} must be finite, got {bounds!r}")
         if not self.z_bounds[0] > 0:
             raise ValueError("scatterers must lie below the array face (z_bounds[0] > 0)")
         if s.shape[0]:

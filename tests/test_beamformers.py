@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from usbeam import (
     BeamformerKind,
+    DelayTable,
     RfFrame,
     beamform_image,
     compute_delays,
@@ -281,6 +282,18 @@ class TestBeamformImage:
                 xd = fetch_delayed(frame, delays.values[i, j])
                 expected = pixel_fn(xd)
                 assert image[i, j] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_never_builds_the_full_table(self, scene, monkeypatch):
+        frame, delays = scene
+        table = delays.values
+
+        def forbidden(_):
+            raise AssertionError("beamform_image read DelayTable.values")
+
+        monkeypatch.setattr(DelayTable, "values", property(forbidden))
+        image, _ = beamform_image(frame, delays, BeamformerKind.DAS)
+        expected = [np.sum(fetch_delayed(frame, table[:, j, :]), axis=-1) for j in range(table.shape[1])]
+        assert np.array_equal(image, np.stack(expected, axis=1))
 
     def test_rejects_mismatched_frame(self, scene):
         _, delays = scene

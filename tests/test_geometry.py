@@ -117,3 +117,13 @@ def test_delay_scaling_with_fs_is_exact():
     d1 = compute_delays(geom, grid, 50e6).values
     d2 = compute_delays(geom, grid, 100e6).values
     assert np.array_equal(d2, 2.0 * d1)
+
+
+def test_delay_column_equals_table_slice():
+    geom = linear_array(8, 0.3e-3)
+    grid = ImageGrid(x_min=-3e-3, x_max=3e-3, z_min=5e-3, z_max=25e-3, nx=11, nz=13)
+    table = compute_delays(geom, grid, 100e6)
+    values = table.values
+    assert values.shape == (13, 11, 8)
+    for j in range(grid.nx):
+        assert np.array_equal(table.column(j), values[:, j, :])

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from usbeam import RfFrame, fetch_delayed, signed_sqrt
 
@@ -98,3 +101,62 @@ def test_fetch_rejects_wrong_element_count():
     frame = make_frame(np.zeros((4, 10)))
     with pytest.raises(ValueError):
         fetch_delayed(frame, np.zeros(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fetch_rejects_non_finite_delays(bad):
+    frame = make_frame(np.ones((3, 10)))
+    with pytest.raises(ValueError, match="delays must be finite"):
+        fetch_delayed(frame, np.array([[2.0, 3.0, 4.0], [1.0, bad, 5.0]]))
+
+
+def test_frame_copies_its_input():
+    samples = np.zeros((2, 6))
+    frame = make_frame(samples)
+    samples[0, 3] = 1.0
+    assert not np.shares_memory(frame.samples, samples)
+    assert frame.samples[0, 3] == 0.0
+    assert fetch_delayed(frame, np.array([3.0, 3.0]))[0] == 0.0
+
+
+def masked_gather(samples, d):
+    """The earlier masked form of fetch_delayed, kept as the oracle:
+    clamped indices, then each neighbour outside [0, K-1] masked to zero."""
+    k_last = samples.shape[1] - 1
+    i0 = np.floor(d).astype(np.int64)
+    frac = d - i0
+    chan = np.arange(samples.shape[0]).reshape((1,) * (d.ndim - 1) + (-1,))
+    lo_ok = (i0 >= 0) & (i0 <= k_last)
+    hi_ok = (i0 >= -1) & (i0 < k_last)
+    lo = samples[chan, np.clip(i0, 0, k_last)]
+    hi = samples[chan, np.clip(i0 + 1, 0, k_last)]
+    return np.where(lo_ok, lo, 0.0) * (1.0 - frac) + np.where(hi_ok, hi, 0.0) * frac
+
+
+@st.composite
+def gather_cases(draw):
+    m = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 50))
+    values = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    samples = draw(arrays(float, (m, k), elements=values))
+    rows = draw(st.integers(1, 4))
+    delays = draw(arrays(float, (rows, m), elements=st.floats(-3.0, k + 2.0)))
+    return samples, delays
+
+
+def edge_case(k):
+    """Seven channels of nonzero samples, one per edge delay:
+    -1, -0.5, 0, K-1, K-0.5, K and K+1."""
+    samples = np.arange(1.0, 7 * k + 1).reshape(7, k) * np.where(np.arange(k) % 2, -1.0, 1.0)
+    delays = np.array([[-1.0, -0.5, 0.0, k - 1.0, k - 0.5, float(k), k + 1.0]])
+    return samples, delays
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(case=gather_cases())
+@example(case=edge_case(1))
+@example(case=edge_case(2))
+@example(case=edge_case(10))
+def test_fetch_matches_masked_gather(case):
+    samples, delays = case
+    assert np.array_equal(fetch_delayed(make_frame(samples), delays), masked_gather(samples, delays))

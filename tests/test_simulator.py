@@ -96,6 +96,19 @@ class TestPhantoms:
                 z_bounds=(5e-3, 20e-3),
             )
 
+    @pytest.mark.parametrize("field", ["x_bounds", "z_bounds"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_phantom_rejects_non_finite_bounds(self, field, bad):
+        bounds = {"x_bounds": (-1e-3, 1e-3), "z_bounds": (5e-3, 20e-3)}
+        low, high = bounds[field]
+        bounds[field] = (low, bad) if bad != -np.inf else (bad, high)
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            Phantom(
+                scatterers=np.array([[0.0, 10e-3, 1.0]]),
+                label=PhantomLabel.CUSTOM,
+                **bounds,
+            )
+
     @pytest.mark.parametrize("z", [0.0, -5e-3])
     def test_phantom_rejects_scatterers_not_below_array_face(self, z):
         with pytest.raises(ValueError, match="below the array face"):

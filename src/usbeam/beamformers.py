@@ -20,7 +20,6 @@ from .rfmodel import RfFrame, fetch_delayed, signed_sqrt
 
 class BeamformerKind(Enum):
     DAS = "das"
-    DMAS_NAIVE = "dmas-naive"
     DMAS_FAST = "dmas"
     DSDMAS = "dsdmas"
 
@@ -46,15 +45,15 @@ def op_count(kind: BeamformerKind, element_count: int) -> OpCount:
     The counts follow the accepted complexity model for these algorithms —
     M for DAS, M(M-1)/2 + 2(M-1) for DMAS, M(M-1) + 3(M-1) for the
     double-stage form — independent of any algebraic shortcut the
-    implementation takes. The DMAS figure covers both the naive and the
-    fast evaluation since they compute the same quantity.
+    implementation takes, such as the closed-form pair sums that evaluate
+    DMAS and the second DS-DMAS stage.
     """
     m = int(element_count)
     if kind is BeamformerKind.DAS:
         if m < 1:
             raise ValueError("DAS needs at least 1 element")
         return OpCount(multiplies=0, special_ops=0, total=m)
-    if kind in (BeamformerKind.DMAS_NAIVE, BeamformerKind.DMAS_FAST):
+    if kind is BeamformerKind.DMAS_FAST:
         if m < 2:
             raise ValueError("DMAS needs at least 2 elements")
         pairs = m * (m - 1) // 2
@@ -68,29 +67,28 @@ def op_count(kind: BeamformerKind, element_count: int) -> OpCount:
 
 
 def _couple(x: np.ndarray) -> np.ndarray:
-    """One signed-sqrt coupling stage along the last axis: term i is s_i
-    times the sum of s_j over j > i, with s = signed_sqrt(x), so the M-1
-    terms add up to the pairwise products of DMAS."""
+    """One signed-sqrt coupling stage along axis 0 (the elements): term i
+    is s_i times the sum of s_j over j > i, with s = signed_sqrt(x), so the
+    M-1 terms add up to the pairwise products of DMAS. The terms depend on
+    element order, which is why DS-DMAS keeps this form for stage one."""
     v = signed_sqrt(x)
-    suffix = np.flip(np.cumsum(np.flip(v, -1), -1), -1)
-    return v[..., :-1] * suffix[..., 1:]
+    suffix = np.flip(np.cumsum(np.flip(v, 0), 0), 0)
+    return v[:-1] * suffix[1:]
 
 
-def _dmas_naive_rows(xd: np.ndarray) -> np.ndarray:
-    """Direct pairwise evaluation for a (rows, M) block of delayed samples."""
-    acc = np.zeros(xd.shape[0])
-    for i in range(xd.shape[1] - 1):
-        acc += np.sum(signed_sqrt(xd[:, i : i + 1] * xd[:, i + 1 :]), axis=1)
-    return acc
+def _pair_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over element pairs i < j (axis 0) of signed_sqrt(x_i * x_j), in
+    closed form: with s = signed_sqrt(x) it is ((sum s)^2 - sum s^2) / 2."""
+    v = signed_sqrt(x)
+    return 0.5 * (np.sum(v, axis=0) ** 2 - np.sum(v * v, axis=0))
 
 
-# One reduction over the last (element) axis per kind, shared by the
-# per-pixel functions and beamform_image.
+# One reduction over axis 0 (the elements) per kind, shared by the
+# per-pixel functions and beamform_image, which passes (M, nz) blocks.
 _KERNELS = {
-    BeamformerKind.DAS: lambda x: np.sum(x, axis=-1),
-    BeamformerKind.DMAS_NAIVE: _dmas_naive_rows,
-    BeamformerKind.DMAS_FAST: lambda x: np.sum(_couple(x), axis=-1),
-    BeamformerKind.DSDMAS: lambda x: np.sum(_couple(_couple(x)), axis=-1),
+    BeamformerKind.DAS: lambda x: np.sum(x, axis=0),
+    BeamformerKind.DMAS_FAST: _pair_sum,
+    BeamformerKind.DSDMAS: lambda x: _pair_sum(_couple(x)),
 }
 
 
@@ -132,9 +130,10 @@ def dmas_pixel_fast(delayed) -> float:
     """Pairwise-product beamformer via per-element signed square roots.
 
     Takes the signed square root once per element and sums the products of
-    the transformed samples over all pairs, which reduces the sign/abs/sqrt
-    work from one per pair to one per element while computing the same
-    value as :func:`dmas_pixel_naive`.
+    the transformed samples over all pairs in closed form, which reduces
+    the sign/abs/sqrt work from one per pair to one per element and the
+    pair products to two sums while computing the same value as
+    :func:`dmas_pixel_naive`.
     """
     xd = _vector(delayed, 2, "pairwise coupling needs at least 2 elements")
     return float(_KERNELS[BeamformerKind.DMAS_FAST](xd))
@@ -156,7 +155,8 @@ def dsdmas_pixel(delayed) -> float:
 
     Runs the signed-sqrt pair coupling twice: the first pass turns the M
     delayed samples into M-1 stage terms, the second pass couples the
-    signed square roots of those terms over all their pairs.
+    signed square roots of those terms over all their pairs, summed in
+    the same closed form as DMAS.
 
     Conditioning: a stage-one term that cancels to rounding noise (about
     1e-15 of its pair terms) passes through the second square root as the
@@ -189,8 +189,10 @@ def beamform_image(frame: RfFrame, delays: DelayTable, kind: BeamformerKind):
         per-pixel operation count for this kernel.
 
     Columns are processed one at a time: each column's delays are computed,
-    gathered and reduced, so the full (nz, nx, M) table is never built.
-    The output equals per-pixel application of the corresponding kernel.
+    gathered and reduced over the elements as an element-major (M, nz)
+    block, so the full (nz, nx, M) table is never built. The output equals
+    per-pixel application of the corresponding kernel up to rounding
+    order.
     """
     m = delays.geometry.element_count
     if m != frame.element_count:
@@ -201,5 +203,5 @@ def beamform_image(frame: RfFrame, delays: DelayTable, kind: BeamformerKind):
     kernel = _KERNELS[kind]
     out = np.empty((delays.grid.nz, delays.grid.nx))
     for j in range(delays.grid.nx):
-        out[:, j] = kernel(fetch_delayed(frame, delays.column(j)))
+        out[:, j] = kernel(fetch_delayed(frame, delays.column(j)).T)
     return out, ops

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 # Tolerance on element-spacing uniformity, in meters.
 _SPACING_TOL = 1e-12
+
+
+def _require_finite_positive(name: str, value) -> None:
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -35,13 +40,13 @@ class ArrayGeometry:
     def __post_init__(self):
         if self.element_count < 2:
             raise ValueError("element_count must be >= 2")
-        if not self.pitch > 0:
-            raise ValueError("pitch must be positive")
-        if not self.sound_speed > 0:
-            raise ValueError("sound_speed must be positive")
+        _require_finite_positive("pitch", self.pitch)
+        _require_finite_positive("sound_speed", self.sound_speed)
         x = np.asarray(self.element_x, dtype=float)
         if x.shape != (self.element_count,):
             raise ValueError("element_x must hold element_count positions")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("element_x must be finite")
         gaps = np.diff(x)
         if np.any(gaps <= 0):
             raise ValueError("element_x must be strictly increasing")
@@ -52,6 +57,8 @@ class ArrayGeometry:
 
 def linear_array(element_count: int, pitch: float, sound_speed: float = 1540.0) -> ArrayGeometry:
     """Build a uniform linear array centered on x = 0."""
+    # checked before use: an infinite pitch would put NaN at the centre element
+    _require_finite_positive("pitch", pitch)
     idx = np.arange(element_count, dtype=float)
     x = (idx - (element_count - 1) / 2.0) * pitch
     return ArrayGeometry(element_count, pitch, x, sound_speed)
@@ -109,25 +116,27 @@ class DelayTable:
     nothing holds the full table unless a caller asks for it. Both use the
     same element-wise arithmetic, so a column equals the matching slice of
     the table bit for bit. fs is the sampling rate the delays are scaled
-    with.
+    with. The grid axes are built once, with the table.
     """
 
     geometry: ArrayGeometry
     grid: ImageGrid
     fs: float
+    _x_axis: np.ndarray = field(init=False, repr=False, compare=False)
+    _z_axis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.fs > 0:
-            raise ValueError("fs must be positive")
+        _require_finite_positive("fs", self.fs)
         if not self.grid.z_min > 0:
             raise ValueError("grid must start below the array face (z_min > 0)")
+        object.__setattr__(self, "_x_axis", self.grid.x_axis)
+        object.__setattr__(self, "_z_axis", self.grid.z_axis)
 
-    def _delays(self, x, z) -> np.ndarray:
-        # x and z broadcast against the trailing element axis. The receive
-        # path is built in one allocation, then the transmit time is added
-        # and the sum scaled, all in place.
+    def _delays(self, dx, z) -> np.ndarray:
+        # dx (pixel x minus element x) and z broadcast to the output shape.
+        # The receive path is built in one allocation, then the transmit
+        # time is added and the sum scaled, all in place.
         c = self.geometry.sound_speed
-        dx = x - self.geometry.element_x
         travel = dx * dx + z * z
         np.sqrt(travel, out=travel)
         travel /= c
@@ -136,13 +145,19 @@ class DelayTable:
         return travel
 
     def column(self, j: int) -> np.ndarray:
-        """Delays of image column j, shape (nz, element_count)."""
-        return self._delays(self.grid.x_axis[j], self.grid.z_axis[:, None])
+        """Delays of image column j, shape (nz, element_count).
+
+        Computed element-major, as an (element_count, nz) block, and
+        returned as its transpose, so each element's delays are contiguous.
+        """
+        dx = self._x_axis[j] - self.geometry.element_x[:, None]
+        return self._delays(dx, self._z_axis).T
 
     @property
     def values(self) -> np.ndarray:
         """The full (nz, nx, element_count) table, built on every read."""
-        return self._delays(self.grid.x_axis[:, None], self.grid.z_axis[:, None, None])
+        dx = self._x_axis[:, None] - self.geometry.element_x
+        return self._delays(dx, self._z_axis[:, None, None])
 
 
 def compute_delays(geometry: ArrayGeometry, grid: ImageGrid, fs: float) -> DelayTable:

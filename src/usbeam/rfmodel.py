@@ -60,7 +60,7 @@ def signed_sqrt(x):
     arrays of any shape.
     """
     x = np.asarray(x, dtype=float)
-    out = np.sign(x) * np.sqrt(np.abs(x))
+    out = np.copysign(np.sqrt(np.abs(x)), x)
     if out.ndim == 0:
         return float(out)
     return out
@@ -75,10 +75,13 @@ def fetch_delayed(frame: RfFrame, delays) -> np.ndarray:
     zero (the pixel lies outside the recorded window). The delays must be
     finite.
 
-    Both neighbours are read with ``np.take`` from the frame's zero-padded
-    buffer. Clipping the delays to [-1, K] lands every out-of-window
-    position on the padding, so no mask is needed and the result equals
-    masking each neighbour outside [0, K-1] to zero.
+    Both neighbours are read from the frame's zero-padded buffer by fancy
+    indexing, which keeps the memory order of ``delays``: a transposed
+    (M, nz) block reads each channel front to back and yields an
+    F-ordered result whose transpose is C-contiguous. Clipping the delays
+    to [-1, K] lands every out-of-window position on the padding, so no
+    mask is needed and the result equals masking each neighbour outside
+    [0, K-1] to zero.
     """
     d = np.asarray(delays, dtype=float)
     if d.shape[-1] != frame.element_count:
@@ -92,7 +95,8 @@ def fetch_delayed(frame: RfFrame, delays) -> np.ndarray:
     # flat index into the padded buffer: row base, plus one for the leading zero
     flat = i0.astype(np.int64)
     flat += np.arange(frame.element_count) * padded.shape[1] + 1
-    lo = np.take(padded, flat)
+    buffer = padded.reshape(-1)
+    lo = buffer[flat]
     flat += 1
-    hi = np.take(padded, flat)
+    hi = buffer[flat]
     return lo * (1.0 - frac) + hi * frac

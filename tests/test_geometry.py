@@ -33,6 +33,22 @@ def test_geometry_rejects_bad_sound_speed():
         linear_array(4, 0.3e-3, sound_speed=0.0)
 
 
+@pytest.mark.parametrize("field", ["pitch", "sound_speed"])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_geometry_rejects_non_finite_scalars(field, value):
+    kwargs = dict(pitch=1e-3, sound_speed=1540.0)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ArrayGeometry(3, kwargs["pitch"], np.array([-1e-3, 0.0, 1e-3]), kwargs["sound_speed"])
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        linear_array(3, **kwargs)
+
+
+def test_geometry_rejects_non_finite_positions():
+    with pytest.raises(ValueError, match="element_x must be finite"):
+        ArrayGeometry(3, 1e-3, np.array([-1e-3, np.nan, 1e-3]), 1540.0)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -88,6 +104,9 @@ def test_delays_reject_bad_inputs():
         compute_delays(geom, grid, 0.0)
     with pytest.raises(ValueError):
         compute_delays(geom, grid, -1e6)
+    for fs in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="fs must be finite"):
+            compute_delays(geom, grid, fs)
 
 
 def test_delays_nonnegative_and_monotone_in_element_distance():

@@ -25,7 +25,6 @@ from .rfmodel import RfFrame, fetch_delayed, signed_sqrt
 from .simulator import (
     NoiseSpec,
     Phantom,
-    PhantomLabel,
     PulseModel,
     PulseWeighting,
     add_noise,

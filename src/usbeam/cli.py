@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .pipeline import default_filter, reconstruct_envelope
 from .simulator import (
     NoiseSpec,
     Phantom,
-    PhantomLabel,
     PulseModel,
     add_noise,
     make_cyst_phantom,
@@ -33,6 +33,7 @@ from .simulator import (
 )
 
 _ALGOS = {kind.value: kind for kind in BeamformerKind}
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
 # Dynamic range used when metrics need a dB profile; deep enough that the
 # floor never clips a measurable feature.
@@ -66,7 +67,6 @@ def build_phantom(cfg: RunConfig) -> Phantom:
         pts = _parse_custom_scatterers(cfg.custom_scatterers)
         return Phantom(
             scatterers=pts,
-            label=PhantomLabel.CUSTOM,
             x_bounds=(float(pts[:, 0].min()), float(pts[:, 0].max())),
             z_bounds=(float(pts[:, 1].min()), float(pts[:, 1].max())),
         )
@@ -79,19 +79,17 @@ def _grid_from(cfg: RunConfig) -> ImageGrid:
     )
 
 
-def _config_from(args, keys) -> RunConfig:
+def _config_from(args) -> RunConfig:
+    """The config file's values, overridden by every parsed flag whose
+    dest names a RunConfig field."""
     cfg = load_config(args.config)
-    apply_overrides(cfg, {key: getattr(args, key) for key in keys})
+    apply_overrides(cfg, {key: value for key, value in vars(args).items() if key in _CONFIG_KEYS})
     cfg.validate()
     return cfg
 
 
 def cmd_simulate(args) -> int:
-    keys = (
-        "phantom", "elements", "pitch", "f0", "fs", "c", "cycles", "snr_db", "seed",
-        "pair_separation", "speckle_density", "speckle_seed", "custom_scatterers",
-    )
-    cfg = _config_from(args, keys)
+    cfg = _config_from(args)
     geometry = linear_array(cfg.elements, cfg.pitch, cfg.c)
     phantom = build_phantom(cfg)
     pulse = PulseModel(f0=cfg.f0, cycles=cfg.cycles)
@@ -113,13 +111,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_beamform(args) -> int:
-    keys = ("x_min", "x_max", "z_min", "z_max", "nx", "nz",
-            "filter_taps", "filter_half_bandwidth", "filter_center")
-    cfg = _config_from(args, keys)
+    cfg = _config_from(args)
     frame, pitch = containers.read_rf(args.rf_path)
     kind = _ALGOS[args.algo]
-    if kind is BeamformerKind.DSDMAS and frame.element_count < 3:
-        raise ValueError("dsdmas needs at least 3 array elements")
     geometry = linear_array(frame.element_count, pitch, frame.c)
     grid = _grid_from(cfg)
     spec = default_filter(
@@ -153,7 +147,7 @@ def cmd_beamform(args) -> int:
 
 
 def cmd_render(args) -> int:
-    cfg = _config_from(args, ("dynamic_range",))
+    cfg = _config_from(args)
     env, _grid = containers.read_image(args.image_path)
     gray = containers.db_to_gray(log_compress(env, cfg.dynamic_range))
     containers.write_pgm(args.out, gray)
@@ -222,7 +216,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    cfg = _config_from(args, ("dynamic_range",))
+    cfg = _config_from(args)
     env, grid = containers.read_image(args.image_path)
     db_image = log_compress(env, cfg.dynamic_range)
     profile = lateral_profile(db_image, args.depth_mm * 1e-3, grid)

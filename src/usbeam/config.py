@@ -7,6 +7,7 @@ positive. Flags win over file values, which win over the defaults below.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 # Half a wavelength at 3 MHz in 1540 m/s tissue.
@@ -61,8 +62,8 @@ class RunConfig:
             ("dynamic_range", self.dynamic_range),
         )
         for name, value in positive:
-            if not value > 0:
-                raise ValueError(f"config value {name} must be positive")
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"config value {name} must be finite and positive, got {value!r}")
         if self.fs <= 2.0 * self.f0:
             raise ValueError("fs must exceed 2 * f0")
         if self.z_min <= 0:
@@ -108,11 +109,9 @@ def load_config(path: str | None) -> RunConfig:
 
 
 def apply_overrides(cfg: RunConfig, overrides: dict) -> RunConfig:
-    """Apply non-None flag values onto a config; flags win."""
+    """Apply non-None flag values, keyed by RunConfig field name, onto a
+    config; flags win."""
     for key, value in overrides.items():
-        if value is None:
-            continue
-        if key not in _FIELD_TYPES:
-            raise ValueError(f"unknown config key {key!r}")
-        setattr(cfg, key, value)
+        if value is not None:
+            setattr(cfg, key, value)
     return cfg

@@ -157,8 +157,8 @@ def log_compress(envelope_img, dynamic_range: float) -> DbImage:
     env = np.asarray(envelope_img, dtype=float)
     if np.any(env < 0):
         raise ValueError("envelope image must be nonnegative")
-    if not dynamic_range > 0:
-        raise ValueError("dynamic_range must be positive")
+    if not (np.isfinite(dynamic_range) and dynamic_range > 0):
+        raise ValueError(f"dynamic_range must be finite and positive, got {dynamic_range!r}")
     peak = env.max() if env.size else 0.0
     if not peak > 0:
         raise ValueError("cannot normalize an all-zero image")

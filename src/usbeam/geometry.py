@@ -6,10 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Tolerance on element-spacing uniformity, in meters.
-_SPACING_TOL = 1e-12
-
-
 def _require_finite_positive(name: str, value) -> None:
     if not (np.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
@@ -17,7 +13,7 @@ def _require_finite_positive(name: str, value) -> None:
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Linear transducer array.
+    """Uniform linear transducer array centered on x = 0.
 
     Parameters
     ----------
@@ -25,43 +21,30 @@ class ArrayGeometry:
         Number of elements, at least 2.
     pitch : float
         Center-to-center element spacing in meters.
-    element_x : np.ndarray
-        Lateral element positions in meters, strictly increasing with
-        uniform spacing equal to ``pitch``.
     sound_speed : float
         Propagation speed in m/s.
+
+    The lateral element positions, ``element_x``, are derived from the
+    count and pitch: ``(arange(M) - (M - 1) / 2) * pitch``, in meters.
     """
 
     element_count: int
     pitch: float
-    element_x: np.ndarray
     sound_speed: float
+    element_x: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.element_count < 2:
             raise ValueError("element_count must be >= 2")
         _require_finite_positive("pitch", self.pitch)
         _require_finite_positive("sound_speed", self.sound_speed)
-        x = np.asarray(self.element_x, dtype=float)
-        if x.shape != (self.element_count,):
-            raise ValueError("element_x must hold element_count positions")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("element_x must be finite")
-        gaps = np.diff(x)
-        if np.any(gaps <= 0):
-            raise ValueError("element_x must be strictly increasing")
-        if np.any(np.abs(gaps - self.pitch) > _SPACING_TOL):
-            raise ValueError("element spacing must be uniform and equal to pitch")
-        object.__setattr__(self, "element_x", x)
+        idx = np.arange(self.element_count, dtype=float)
+        object.__setattr__(self, "element_x", (idx - (self.element_count - 1) / 2.0) * self.pitch)
 
 
 def linear_array(element_count: int, pitch: float, sound_speed: float = 1540.0) -> ArrayGeometry:
     """Build a uniform linear array centered on x = 0."""
-    # checked before use: an infinite pitch would put NaN at the centre element
-    _require_finite_positive("pitch", pitch)
-    idx = np.arange(element_count, dtype=float)
-    x = (idx - (element_count - 1) / 2.0) * pitch
-    return ArrayGeometry(element_count, pitch, x, sound_speed)
+    return ArrayGeometry(element_count, pitch, sound_speed)
 
 
 @dataclass(frozen=True)
@@ -127,8 +110,6 @@ class DelayTable:
 
     def __post_init__(self):
         _require_finite_positive("fs", self.fs)
-        if not self.grid.z_min > 0:
-            raise ValueError("grid must start below the array face (z_min > 0)")
         object.__setattr__(self, "_x_axis", self.grid.x_axis)
         object.__setattr__(self, "_z_axis", self.grid.z_axis)
 

@@ -59,7 +59,13 @@ def reconstruct_envelope_from_delays(
     kind: BeamformerKind,
     filter_spec: FilterSpec | None = None,
 ):
-    """Reconstruction chain reusing a delay table from :func:`compute_delays`."""
+    """Reconstruction chain reusing a delay table from :func:`compute_delays`.
+
+    ``grid`` must equal the grid the delays were computed on; it sets the
+    band-pass's axial sampling rate.
+    """
+    if grid != delays.grid:
+        raise ValueError(f"grid {grid} differs from the delay table's grid {delays.grid}")
     raw, ops = beamform_image(frame, delays, kind)
     spec = filter_spec or default_filter(kind, frame.f0)
     filtered = bandpass_image(raw, spec, axial_sample_rate(grid, frame.c))

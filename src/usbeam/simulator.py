@@ -13,13 +13,6 @@ from .geometry import ArrayGeometry
 from .rfmodel import RfFrame
 
 
-class PhantomLabel(Enum):
-    WIRES = "wires"
-    CYSTS = "cysts"
-    TUMOR_WIRE = "tumor"
-    CUSTOM = "custom"
-
-
 class PulseWeighting(Enum):
     RECTANGULAR = "rectangular"
     HANN = "hann"
@@ -56,7 +49,6 @@ class Phantom:
     bounding box that the scatterers must lie in."""
 
     scatterers: np.ndarray
-    label: PhantomLabel
     x_bounds: tuple[float, float]
     z_bounds: tuple[float, float]
 
@@ -135,7 +127,6 @@ def make_wire_phantom(pair_separation: float = DEFAULT_PAIR_SEPARATION) -> Phant
     half = pair_separation / 2.0
     return Phantom(
         scatterers=np.array(pts, dtype=float),
-        label=PhantomLabel.WIRES,
         x_bounds=(-half, half),
         z_bounds=(WIRE_SINGLE_DEPTHS[0], WIRE_SINGLE_DEPTHS[1]),
     )
@@ -149,6 +140,19 @@ def _cyst_centers():
     return centers
 
 
+def _speckle(seed: int, speckle_density: float, x_bounds, z_bounds):
+    """Uniformly placed speckle scatterers in a box, amplitudes uniform on
+    [-1, 1]: returns (x, z, amplitude) arrays, drawn in that order."""
+    if not (np.isfinite(speckle_density) and speckle_density > 0):
+        raise ValueError(f"speckle_density must be finite and positive, got {speckle_density!r}")
+    rng = np.random.default_rng(seed)
+    (x_lo, x_hi), (z_lo, z_hi) = x_bounds, z_bounds
+    count = int(round(speckle_density * (x_hi - x_lo) * (z_hi - z_lo)))
+    x = rng.uniform(x_lo, x_hi, count)
+    z = rng.uniform(z_lo, z_hi, count)
+    return x, z, rng.uniform(-1.0, 1.0, count)
+
+
 def make_cyst_phantom(seed: int = 2024, speckle_density: float = DEFAULT_SPECKLE_DENSITY) -> Phantom:
     """Speckle slab with ten anechoic cysts, two radii at five depths.
 
@@ -156,18 +160,12 @@ def make_cyst_phantom(seed: int = 2024, speckle_density: float = DEFAULT_SPECKLE
     [-1, 1]; any scatterer inside a cyst disc keeps its position but has
     its amplitude zeroed, which makes the discs anechoic.
     """
-    rng = np.random.default_rng(seed)
-    (x_lo, x_hi), (z_lo, z_hi) = _CYST_X_BOUNDS, _CYST_Z_BOUNDS
-    count = int(round(speckle_density * (x_hi - x_lo) * (z_hi - z_lo)))
-    x = rng.uniform(x_lo, x_hi, count)
-    z = rng.uniform(z_lo, z_hi, count)
-    amp = rng.uniform(-1.0, 1.0, count)
+    x, z, amp = _speckle(seed, speckle_density, _CYST_X_BOUNDS, _CYST_Z_BOUNDS)
     for cx, cz, radius in _cyst_centers():
         inside = (x - cx) ** 2 + (z - cz) ** 2 <= radius**2
         amp[inside] = 0.0
     return Phantom(
         scatterers=np.column_stack([x, z, amp]),
-        label=PhantomLabel.CYSTS,
         x_bounds=_CYST_X_BOUNDS,
         z_bounds=_CYST_Z_BOUNDS,
     )
@@ -175,12 +173,7 @@ def make_cyst_phantom(seed: int = 2024, speckle_density: float = DEFAULT_SPECKLE
 
 def make_tumor_phantom(seed: int = 2024, speckle_density: float = DEFAULT_SPECKLE_DENSITY) -> Phantom:
     """Speckle slab with a bright elliptical inclusion and one isolated wire."""
-    rng = np.random.default_rng(seed)
-    (x_lo, x_hi), (z_lo, z_hi) = _TUMOR_X_BOUNDS, _TUMOR_Z_BOUNDS
-    count = int(round(speckle_density * (x_hi - x_lo) * (z_hi - z_lo)))
-    x = rng.uniform(x_lo, x_hi, count)
-    z = rng.uniform(z_lo, z_hi, count)
-    amp = rng.uniform(-1.0, 1.0, count)
+    x, z, amp = _speckle(seed, speckle_density, _TUMOR_X_BOUNDS, _TUMOR_Z_BOUNDS)
     cx, cz = TUMOR_CENTER
     ax, az = TUMOR_SEMI_AXES
     inside = ((x - cx) / ax) ** 2 + ((z - cz) / az) ** 2 <= 1.0
@@ -189,7 +182,6 @@ def make_tumor_phantom(seed: int = 2024, speckle_density: float = DEFAULT_SPECKL
     wire = np.array([[TUMOR_WIRE_POSITION[0], TUMOR_WIRE_POSITION[1], TUMOR_WIRE_AMPLITUDE]])
     return Phantom(
         scatterers=np.vstack([scatterers, wire]),
-        label=PhantomLabel.TUMOR_WIRE,
         x_bounds=_TUMOR_X_BOUNDS,
         z_bounds=_TUMOR_Z_BOUNDS,
     )
@@ -221,7 +213,6 @@ def synthesize_rf(
     geometry: ArrayGeometry,
     pulse: PulseModel,
     fs: float,
-    impulse_response: PulseModel | None = None,
 ) -> RfFrame:
     """Single-scattering channel data for a phantom.
 
@@ -245,11 +236,10 @@ def synthesize_rf(
     phantom : Phantom
     geometry : ArrayGeometry
     pulse : PulseModel
-        Excitation burst. The element impulse response defaults to a
-        two-cycle Hann-weighted burst at the same center frequency.
+        Excitation burst. The element impulse response is a two-cycle
+        Hann-weighted burst at the same center frequency.
     fs : float
         Sampling rate in Hz.
-    impulse_response : PulseModel, optional
 
     Returns
     -------
@@ -260,8 +250,7 @@ def synthesize_rf(
     scatterers = phantom.scatterers
     if scatterers.shape[0] == 0:
         raise ValueError("phantom has no scatterers")
-    if impulse_response is None:
-        impulse_response = PulseModel(f0=pulse.f0, cycles=2, weighting=PulseWeighting.HANN)
+    impulse_response = PulseModel(f0=pulse.f0, cycles=2, weighting=PulseWeighting.HANN)
     p = round_trip_pulse(pulse, impulse_response, fs)
 
     c = geometry.sound_speed

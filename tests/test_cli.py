@@ -234,14 +234,59 @@ class TestProfile:
         assert run(["profile", img, "--depth-mm", "40", "--out", str(tmp_path / "p.csv")]) == 1
 
 
+# Per subcommand: arguments shared by every run, a config-file line, and a
+# flag setting the same field to another value, with the output's suffix.
+# Both values change the output, so whichever one wins shows in it.
+OVERRIDE_CASES = {
+    "simulate": (["--phantom", "custom", "--custom-scatterers", "0,15,1", "--snr-db", "400"],
+                 "elements = 8", ["--elements", "12"], "urf"),
+    "beamform": (["--algo", "das", *(f for f in GRID_FLAGS if not f.startswith("--nx"))],
+                 "nx = 21", ["--nx", "33"], "uim"),
+    "render": ([], "dynamic_range = 20", ["--dynamic-range", "70"], "pgm"),
+    "profile": (["--depth-mm", "15"], "dynamic_range = 20", ["--dynamic-range", "70"], "csv"),
+}
+
+
 class TestConfig:
-    def test_flags_override_config_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", list(OVERRIDE_CASES))
+    def test_flags_override_config_file(self, command, wire_rf, tmp_path):
+        shared, line, flag, suffix = OVERRIDE_CASES[command]
+        if command in ("render", "profile"):
+            source = str(tmp_path / "in.uim")
+            assert run(["beamform", wire_rf, "--algo", "das", *GRID_FLAGS, "--out", source]) == 0
+            shared = [source, *shared]
+        elif command == "beamform":
+            shared = [wire_rf, *shared]
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("elements = 8\nsnr_db = 400\nphantom = custom\ncustom_scatterers = 0,15,1\n")
-        out = str(tmp_path / "cfg.urf")
-        assert run(["simulate", "--config", str(cfg), "--elements", "12", "--out", out]) == 0
-        report = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
-        assert report["elements"] == "12"
+        cfg.write_text(line + "\n")
+
+        def output(name, extra):
+            out = tmp_path / f"{name}.{suffix}"
+            assert run([command, *shared, *extra, "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        both = output("both", ["--config", str(cfg), *flag])
+        assert both == output("flag", flag)
+        assert both != output("file", ["--config", str(cfg)])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--fs", "inf"],
+            ["simulate", "--phantom", "cysts", "--speckle-density", "inf"],
+            ["render", "IMAGE", "--dynamic-range", "inf"],
+        ],
+        ids=["fs", "speckle_density", "dynamic_range"],
+    )
+    def test_non_finite_flag_is_named(self, argv, wire_rf, tmp_path, capsys):
+        image = str(tmp_path / "in.uim")
+        assert run(["beamform", wire_rf, "--algo", "das", *GRID_FLAGS, "--out", image]) == 0
+        argv = [image if arg == "IMAGE" else arg for arg in argv]
+        out = tmp_path / "x.out"
+        assert run([*argv, "--out", str(out)]) == 1
+        field = argv[-2].lstrip("-").replace("-", "_")
+        assert f"{field} must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_comments_and_blank_lines(self, tmp_path):
         cfg = tmp_path / "run.cfg"

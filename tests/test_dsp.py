@@ -137,6 +137,11 @@ class TestLogCompress:
         with pytest.raises(ValueError):
             log_compress(np.array([[1.0, -0.1]]), 70.0)
 
+    @pytest.mark.parametrize("dynamic_range", [np.inf, np.nan, 0.0, -10.0])
+    def test_dynamic_range_must_be_finite_and_positive(self, dynamic_range):
+        with pytest.raises(ValueError, match="dynamic_range must be finite and positive"):
+            log_compress(np.array([[1.0, 0.5]]), dynamic_range)
+
     def test_power_of_two_scaling_is_exact(self):
         rng = np.random.default_rng(4)
         img = np.abs(rng.normal(size=(20, 30))) + 0.01

@@ -4,7 +4,6 @@ import pytest
 from usbeam import (
     NoiseSpec,
     Phantom,
-    PhantomLabel,
     PulseModel,
     PulseWeighting,
     add_noise,
@@ -36,7 +35,6 @@ FS = 100e6
 def point_phantom(x, z, amplitude=1.0):
     return Phantom(
         scatterers=np.array([[x, z, amplitude]]),
-        label=PhantomLabel.CUSTOM,
         x_bounds=(min(x, 0.0), max(x, 0.0)),
         z_bounds=(z, z),
     )
@@ -79,6 +77,12 @@ class TestPhantoms:
         assert np.array_equal(a.scatterers, b.scatterers)
         assert not np.array_equal(a.scatterers, c.scatterers)
 
+    @pytest.mark.parametrize("factory", [make_cyst_phantom, make_tumor_phantom])
+    @pytest.mark.parametrize("density", [np.inf, np.nan, 0.0, -1.0])
+    def test_speckle_density_must_be_finite_and_positive(self, factory, density):
+        with pytest.raises(ValueError, match="speckle_density must be finite and positive"):
+            factory(speckle_density=density)
+
     def test_tumor_phantom_contents(self):
         ph = make_tumor_phantom(seed=3)
         amp = ph.scatterers[:, 2]
@@ -91,7 +95,6 @@ class TestPhantoms:
         with pytest.raises(ValueError):
             Phantom(
                 scatterers=np.array([[5e-3, 10e-3, 1.0]]),
-                label=PhantomLabel.CUSTOM,
                 x_bounds=(-1e-3, 1e-3),
                 z_bounds=(5e-3, 20e-3),
             )
@@ -105,7 +108,6 @@ class TestPhantoms:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             Phantom(
                 scatterers=np.array([[0.0, 10e-3, 1.0]]),
-                label=PhantomLabel.CUSTOM,
                 **bounds,
             )
 
@@ -156,13 +158,11 @@ class TestSynthesize:
         geom = linear_array(4, 0.3e-3)
         base = Phantom(
             scatterers=np.array([[0.0, 10e-3, 1.0], [1e-3, 12e-3, -0.5]]),
-            label=PhantomLabel.CUSTOM,
             x_bounds=(0.0, 1e-3),
             z_bounds=(10e-3, 12e-3),
         )
         with_zero = Phantom(
             scatterers=np.array([[0.0, 10e-3, 1.0], [0.5e-3, 11e-3, 0.0], [1e-3, 12e-3, -0.5]]),
-            label=PhantomLabel.CUSTOM,
             x_bounds=(0.0, 1e-3),
             z_bounds=(10e-3, 12e-3),
         )
@@ -175,7 +175,6 @@ class TestSynthesize:
         single = synthesize_rf(point_phantom(0.5e-3, 15e-3), geom, PULSE, FS)
         double = Phantom(
             scatterers=np.array([[0.5e-3, 15e-3, 1.0], [0.5e-3, 15e-3, 1.0]]),
-            label=PhantomLabel.CUSTOM,
             x_bounds=(0.0, 0.5e-3),
             z_bounds=(15e-3, 15e-3),
         )
@@ -202,7 +201,7 @@ class TestSynthesize:
         scatterers = np.column_stack([
             rng.uniform(-3e-3, 3e-3, count), rng.uniform(5e-3, 15e-3, count), rng.uniform(-1.0, 1.0, count)
         ])
-        phantom = Phantom(scatterers, PhantomLabel.CUSTOM, x_bounds=(-3e-3, 3e-3), z_bounds=(5e-3, 15e-3))
+        phantom = Phantom(scatterers, x_bounds=(-3e-3, 3e-3), z_bounds=(5e-3, 15e-3))
         geom = linear_array(6, 0.3e-3)
         frame = synthesize_rf(phantom, geom, PULSE, FS)
 
@@ -222,7 +221,7 @@ class TestSynthesize:
     def test_rejects_empty_phantom(self):
         geom = linear_array(4, 0.3e-3)
         empty = Phantom(
-            scatterers=np.zeros((0, 3)), label=PhantomLabel.CUSTOM,
+            scatterers=np.zeros((0, 3)),
             x_bounds=(0.0, 0.0), z_bounds=(1e-3, 1e-3),
         )
         with pytest.raises(ValueError):

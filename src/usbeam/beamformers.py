@@ -9,6 +9,8 @@ operation count of the standard complexity model for that kernel.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -188,11 +190,18 @@ def beamform_image(frame: RfFrame, delays: DelayTable, kind: BeamformerKind):
         The raw, pre-filter beamformer output of shape (nz, nx), and the
         per-pixel operation count for this kernel.
 
-    Columns are processed one at a time: each column's delays are computed,
-    gathered and reduced over the elements as an element-major (M, nz)
-    block, so the full (nz, nx, M) table is never built. The output equals
-    per-pixel application of the corresponding kernel up to rounding
-    order.
+    Each column's delays are computed, gathered and reduced over the
+    elements as an element-major (M, nz) block, so the full (nz, nx, M)
+    table is never built. The output equals per-pixel application of the
+    corresponding kernel up to rounding order.
+
+    Columns are independent, so they are split over one thread per CPU the
+    process may use (at most nx): thread t takes columns t, t + W, ...,
+    and the calling thread takes its share too. NumPy releases the
+    interpreter lock in the gather and the reductions. Every column is
+    computed by the same calls whatever the thread count, so the output
+    does not depend on it. An error in any thread is raised here once
+    every thread has finished, and no partial image is returned.
     """
     m = delays.geometry.element_count
     if m != frame.element_count:
@@ -201,7 +210,35 @@ def beamform_image(frame: RfFrame, delays: DelayTable, kind: BeamformerKind):
         raise ValueError(f"delay table built for fs={delays.fs:.6g} Hz, frame sampled at fs={frame.fs:.6g} Hz")
     ops = op_count(kind, m)
     kernel = _KERNELS[kind]
-    out = np.empty((delays.grid.nz, delays.grid.nx))
-    for j in range(delays.grid.nx):
-        out[:, j] = kernel(fetch_delayed(frame, delays.column(j)).T)
+    nx = delays.grid.nx
+    out = np.empty((delays.grid.nz, nx))
+    if hasattr(os, "sched_getaffinity"):
+        workers = min(len(os.sched_getaffinity(0)), nx)
+    else:
+        workers = min(os.cpu_count() or 1, nx)
+    errors = []
+
+    def fill(first: int) -> None:
+        try:
+            for j in range(first, nx, workers):
+                if errors:  # another thread failed: the image is discarded
+                    return
+                out[:, j] = kernel(fetch_delayed(frame, delays.column(j)).T)
+        except BaseException as exc:  # re-raised by the caller below
+            errors.append(exc)
+
+    started = []
+    try:
+        for first in range(1, workers):
+            thread = threading.Thread(target=fill, args=(first,))
+            thread.start()
+            started.append(thread)
+        fill(0)
+    except BaseException as exc:  # a thread that could not start
+        errors.append(exc)
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
     return out, ops

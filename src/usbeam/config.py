@@ -66,10 +66,6 @@ class RunConfig:
                 raise ValueError(f"config value {name} must be finite and positive, got {value!r}")
         if self.fs <= 2.0 * self.f0:
             raise ValueError("fs must exceed 2 * f0")
-        if self.z_min <= 0:
-            raise ValueError("z_min must be positive")
-        if self.x_max < self.x_min or self.z_max < self.z_min:
-            raise ValueError("grid extents must be ordered")
         if self.filter_center < 0:
             raise ValueError("filter_center must be zero (auto) or positive")
 

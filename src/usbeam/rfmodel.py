@@ -89,14 +89,21 @@ def fetch_delayed(frame: RfFrame, delays) -> np.ndarray:
     if not np.all(np.isfinite(d)):
         raise ValueError("delays must be finite")
     padded = frame._padded
-    d = np.clip(d, -1.0, frame.sample_count)
-    i0 = np.floor(d)
-    frac = d - i0
+    frac = np.clip(d, -1.0, frame.sample_count)
+    i0 = np.floor(frac)
+    frac -= i0
     # flat index into the padded buffer: row base, plus one for the leading zero
     flat = i0.astype(np.int64)
+    del i0
     flat += np.arange(frame.element_count) * padded.shape[1] + 1
     buffer = padded.reshape(-1)
     lo = buffer[flat]
     flat += 1
     hi = buffer[flat]
-    return lo * (1.0 - frac) + hi * frac
+    del flat
+    # lo * (1 - frac) + hi * frac, computed in place: the same products and sum
+    hi *= frac
+    np.subtract(1.0, frac, out=frac)
+    lo *= frac
+    lo += hi
+    return lo

@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from usbeam import (
     DelayTable,
     RfFrame,
     beamform_image,
+    beamformers,
     compute_delays,
     das_pixel,
     dmas_pixel_fast,
@@ -321,6 +325,65 @@ class TestBeamformImage:
         slower = RfFrame(samples=frame.samples, fs=50e6, f0=3e6, c=1540.0)
         with pytest.raises(ValueError, match=r"fs=1e\+08 Hz, frame sampled at fs=5e\+07 Hz"):
             beamform_image(slower, delays, BeamformerKind.DAS)
+
+    @pytest.fixture()
+    def single_column_scene(self, scene):
+        frame, delays = scene
+        grid = ImageGrid(x_min=0.2e-3, x_max=0.2e-3, z_min=0.5e-3, z_max=1.4e-3, nx=1, nz=7)
+        return frame, compute_delays(delays.geometry, grid, frame.fs)
+
+    @pytest.mark.parametrize("scene_name", ["scene", "single_column_scene"])
+    @pytest.mark.parametrize("kind", list(BeamformerKind))
+    def test_output_does_not_depend_on_worker_count(self, request, scene_name, kind, monkeypatch):
+        frame, delays = request.getfixturevalue(scene_name)
+        default, _ = beamform_image(frame, delays, kind)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        serial, _ = beamform_image(frame, delays, kind)
+        assert np.array_equal(default, serial)
+
+    def test_more_workers_than_cores_fill_every_column(self, scene, monkeypatch):
+        frame, delays = scene
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        serial, _ = beamform_image(frame, delays, BeamformerKind.DSDMAS)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                image, _ = beamform_image(frame, delays, BeamformerKind.DSDMAS)
+                assert np.array_equal(image, serial)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_error_is_raised_after_every_thread_ends(self, scene, monkeypatch):
+        frame, delays = scene
+        gather = beamformers.fetch_delayed
+
+        def fails_off_main_thread(frame, block):
+            if threading.current_thread() is not threading.main_thread():
+                raise ValueError("gather failed in a worker")
+            return gather(frame, block)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(beamformers, "fetch_delayed", fails_off_main_thread)
+        threads_before = threading.active_count()
+        with pytest.raises(ValueError, match="gather failed in a worker"):
+            beamform_image(frame, delays, BeamformerKind.DMAS_FAST)
+        assert threading.active_count() == threads_before
+
+    def test_gathers_each_column_once_through_the_module_global(self, scene, monkeypatch):
+        frame, delays = scene
+        gather = beamformers.fetch_delayed
+        calls = []
+
+        def counted(frame, block):
+            calls.append(block.shape)
+            return gather(frame, block)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(beamformers, "fetch_delayed", counted)
+        beamform_image(frame, delays, BeamformerKind.DAS)
+        assert len(calls) == delays.grid.nx
 
     def test_propagates_kernel_preconditions(self):
         frame = RfFrame(samples=np.zeros((2, 50)), fs=100e6, f0=3e6, c=1540.0)

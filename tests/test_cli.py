@@ -122,6 +122,14 @@ class TestBeamform:
                     "--out", str(tmp_path / "x.uim")]) == 1
         assert "c must be finite" in capsys.readouterr().err
 
+    def test_grid_above_array_face_is_named(self, wire_rf, tmp_path, capsys):
+        flags = [f for f in GRID_FLAGS if not f.startswith("--z-min")]
+        out = tmp_path / "x.uim"
+        assert run(["beamform", wire_rf, "--algo", "das", *flags, "--z-min=-1e-3",
+                    "--out", str(out)]) == 1
+        assert "z_min must be positive (imaging starts below the array face)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_rf_file_is_runtime_error(self, tmp_path):
         assert run(["beamform", str(tmp_path / "nope.urf"), "--algo", "das",
                     "--out", str(tmp_path / "x.uim")]) == 1
@@ -148,6 +156,18 @@ class TestRender:
         assert raw.startswith(b"P5\n4 2\n255\n")
         top_row = list(raw[-8:-4])
         assert top_row == [255, 128, 0, 0]
+
+
+    def test_ignores_config_grid_fields(self, tmp_path):
+        # render reads its grid from the image, so a grid in the config is unused
+        grid = ImageGrid(x_min=0.0, x_max=3e-3, z_min=1e-3, z_max=2e-3, nx=4, nz=2)
+        src = str(tmp_path / "env.uim")
+        write_image(src, np.ones((2, 4)), grid)
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("z_min = -1e-3\n")
+        out = tmp_path / "img.pgm"
+        assert run(["render", src, "--config", str(cfg), "--out", str(out)]) == 0
+        assert out.read_bytes().startswith(b"P5\n4 2\n255\n")
 
 
 class TestMetrics:

@@ -81,10 +81,15 @@ def _grid_from(cfg: RunConfig) -> ImageGrid:
 
 def _config_from(args) -> RunConfig:
     """The config file's values, overridden by every parsed flag whose
-    dest names a RunConfig field."""
+    dest names a RunConfig field.
+
+    Each subcommand has a flag for every field it reads, so only those
+    fields are validated.
+    """
     cfg = load_config(args.config)
-    apply_overrides(cfg, {key: value for key, value in vars(args).items() if key in _CONFIG_KEYS})
-    cfg.validate()
+    flags = {key: value for key, value in vars(args).items() if key in _CONFIG_KEYS}
+    apply_overrides(cfg, flags)
+    cfg.validate(flags.keys())
     return cfg
 
 

@@ -45,28 +45,25 @@ class RunConfig:
     filter_center: float = 0.0  # 0 selects f0 (das) or 2*f0 (product kernels)
     dynamic_range: float = 70.0
 
-    def validate(self) -> None:
+    def validate(self, names) -> None:
+        """Check the fields in ``names``, the ones a subcommand reads.
+
+        The other fields are left unchecked, so one config file can serve
+        every subcommand even where it holds a value only another one could
+        use. fs and f0 are checked against each other when both are read.
+        """
+        names = set(names)
         positive = (
-            ("pair_separation", self.pair_separation),
-            ("speckle_density", self.speckle_density),
-            ("elements", self.elements),
-            ("pitch", self.pitch),
-            ("f0", self.f0),
-            ("fs", self.fs),
-            ("c", self.c),
-            ("cycles", self.cycles),
-            ("nx", self.nx),
-            ("nz", self.nz),
-            ("filter_taps", self.filter_taps),
-            ("filter_half_bandwidth", self.filter_half_bandwidth),
-            ("dynamic_range", self.dynamic_range),
+            "pair_separation", "speckle_density", "elements", "pitch", "f0", "fs", "c",
+            "cycles", "nx", "nz", "filter_taps", "filter_half_bandwidth", "dynamic_range",
         )
-        for name, value in positive:
-            if not (math.isfinite(value) and value > 0):
+        for name in positive:
+            value = getattr(self, name)
+            if name in names and not (math.isfinite(value) and value > 0):
                 raise ValueError(f"config value {name} must be finite and positive, got {value!r}")
-        if self.fs <= 2.0 * self.f0:
+        if {"fs", "f0"} <= names and self.fs <= 2.0 * self.f0:
             raise ValueError("fs must exceed 2 * f0")
-        if self.filter_center < 0:
+        if "filter_center" in names and self.filter_center < 0:
             raise ValueError("filter_center must be zero (auto) or positive")
 
 

@@ -7,6 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .workers import distribute
+
+# Image columns per envelope transform. It bounds the complex work arrays to
+# a few (nfft, block) arrays per thread, as simulator._ACCUM_CHUNK bounds the
+# synthesis temporaries, while keeping each FFT call wide enough that its
+# Python overhead stays small.
+_ENVELOPE_BLOCK = 32
+
 
 @dataclass(frozen=True)
 class FilterSpec:
@@ -94,12 +102,16 @@ def bandpass_image(image, spec: FilterSpec, axial_rate: float) -> np.ndarray:
     h = design_bandpass(spec, axial_rate)
     mid = (h.size - 1) // 2
     out = np.empty_like(img)
-    for j in range(img.shape[1]):
-        # Edge-replicate so boundary samples see a settled filter; the valid
-        # convolution of the padded line is exactly group-delay aligned.
-        x = img[:, j]
-        padded = np.concatenate([np.full(mid, x[0]), x, np.full(mid, x[-1])])
-        out[:, j] = np.convolve(padded, h, mode="valid")
+
+    def fill(columns) -> None:
+        for j in columns:
+            # Edge-replicate so boundary samples see a settled filter; the valid
+            # convolution of the padded line is exactly group-delay aligned.
+            x = img[:, j]
+            padded = np.concatenate([np.full(mid, x[0]), x, np.full(mid, x[-1])])
+            out[:, j] = np.convolve(padded, h, mode="valid")
+
+    distribute(img.shape[1], fill)
     return out
 
 
@@ -121,19 +133,41 @@ def envelope(signal) -> np.ndarray:
 
 
 def envelope_image(image) -> np.ndarray:
-    """Per-column envelope along the axial axis."""
+    """Per-column envelope along the axial axis.
+
+    The columns are transformed in blocks of ``_ENVELOPE_BLOCK``, split over
+    the CPUs the process may use, so the complex work arrays are one block
+    wide rather than one image wide. Each column's transform is the same
+    whatever the block it falls in, so the output does not depend on the
+    blocking or the thread count.
+    """
     img = np.asarray(image, dtype=float)
     if img.ndim != 2:
         raise ValueError("image must be 2-D")
     if img.shape[0] < 4:
         raise ValueError("image too short for envelope detection")
-    nfft = 1 << (img.shape[0] - 1).bit_length()
+    nz, nx = img.shape
+    nfft = 1 << (nz - 1).bit_length()
     weights = np.zeros(nfft)
     weights[0] = weights[nfft // 2] = 1.0
     weights[1 : nfft // 2] = 2.0
-    spectrum = np.fft.fft(img, nfft, axis=0)
+    out = np.empty((nz, nx))
+
+    def fill(blocks) -> None:
+        for b in blocks:
+            cols = slice(b * _ENVELOPE_BLOCK, (b + 1) * _ENVELOPE_BLOCK)
+            out[:, cols] = _block_envelope(img[:, cols], weights)
+
+    distribute(-(-nx // _ENVELOPE_BLOCK), fill)
+    return out
+
+
+def _block_envelope(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    # A function of its own, so a block's work arrays are freed before the
+    # next block's are allocated.
+    spectrum = np.fft.fft(block, weights.size, axis=0)
     analytic = np.fft.ifft(spectrum * weights[:, None], axis=0)
-    return np.abs(analytic[: img.shape[0], :])
+    return np.abs(analytic[: block.shape[0], :])
 
 
 @dataclass(frozen=True)

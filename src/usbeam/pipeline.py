@@ -69,4 +69,5 @@ def reconstruct_envelope_from_delays(
     raw, ops = beamform_image(frame, delays, kind)
     spec = filter_spec or default_filter(kind, frame.f0)
     filtered = bandpass_image(raw, spec, axial_sample_rate(grid, frame.c))
+    del raw  # freed before the envelope allocates its work arrays
     return envelope_image(filtered), ops

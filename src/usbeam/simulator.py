@@ -11,6 +11,7 @@ import numpy as np
 
 from .geometry import ArrayGeometry
 from .rfmodel import RfFrame
+from .workers import distribute
 
 
 class PulseWeighting(Enum):
@@ -229,7 +230,10 @@ def synthesize_rf(
     interpolated pulse w * ((1 - frac) * p[n] + frac * p[n + 1]) at k0 + n
     because p[0] == 0, and k0 - 1 >= 0 because every scatterer lies below
     the array face. Impulses accumulate in fixed-size scatterer chunks so
-    that a given scene always sums in the same order.
+    that a given scene always sums in the same order. The channels are
+    split over the CPUs the process may use; each thread builds and
+    convolves the impulse trains of its own channels, and every sample sums
+    its impulses in the same order whatever the thread count.
 
     Parameters
     ----------
@@ -261,23 +265,29 @@ def synthesize_rf(
     r_bound = math.hypot(x_abs_max + float(np.max(np.abs(ex))), z_max)
     k_count = int(math.ceil(fs * (z_max + r_bound) / c)) + p.size + 2
 
-    train = np.zeros(m * k_count)
-    chan_base = np.arange(m) * k_count
-    for start in range(0, scatterers.shape[0], _ACCUM_CHUNK):
-        chunk = scatterers[start : start + _ACCUM_CHUNK]
-        sx = chunk[:, 0][:, None]
-        sz = chunk[:, 1][:, None]
-        r = np.sqrt((sx - ex[None, :]) ** 2 + sz**2)
-        arrival = (sz / c + r / c) * fs
-        k0 = np.ceil(arrival).astype(np.int64)
-        frac = k0 - arrival
-        weight = chunk[:, 2][:, None] / r
-        flat = (chan_base + k0).ravel()
-        train += np.bincount(flat, weights=(weight * (1.0 - frac)).ravel(), minlength=train.size)
-        train += np.bincount(flat - 1, weights=(weight * frac).ravel(), minlength=train.size)
     samples = np.empty((m, k_count))
-    for i, row in enumerate(train.reshape(m, k_count)):
-        samples[i] = np.convolve(row, p)[:k_count]
+
+    def fill(items) -> None:
+        channels = list(items)
+        own_x = ex[channels]
+        train = np.zeros(len(channels) * k_count)
+        chan_base = np.arange(len(channels)) * k_count
+        for start in range(0, scatterers.shape[0], _ACCUM_CHUNK):
+            chunk = scatterers[start : start + _ACCUM_CHUNK]
+            sx = chunk[:, 0][:, None]
+            sz = chunk[:, 1][:, None]
+            r = np.sqrt((sx - own_x[None, :]) ** 2 + sz**2)
+            arrival = (sz / c + r / c) * fs
+            k0 = np.ceil(arrival).astype(np.int64)
+            frac = k0 - arrival
+            weight = chunk[:, 2][:, None] / r
+            flat = (chan_base + k0).ravel()
+            train += np.bincount(flat, weights=(weight * (1.0 - frac)).ravel(), minlength=train.size)
+            train += np.bincount(flat - 1, weights=(weight * frac).ravel(), minlength=train.size)
+        for i, row in zip(channels, train.reshape(len(channels), k_count)):
+            samples[i] = np.convolve(row, p)[:k_count]
+
+    distribute(m, fill)
     return RfFrame(samples=samples, fs=float(fs), f0=pulse.f0, c=c)
 
 

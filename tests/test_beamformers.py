@@ -1,5 +1,4 @@
 import math
-import os
 import sys
 import threading
 
@@ -334,18 +333,18 @@ class TestBeamformImage:
 
     @pytest.mark.parametrize("scene_name", ["scene", "single_column_scene"])
     @pytest.mark.parametrize("kind", list(BeamformerKind))
-    def test_output_does_not_depend_on_worker_count(self, request, scene_name, kind, monkeypatch):
+    def test_output_does_not_depend_on_worker_count(self, request, scene_name, kind, cpus):
         frame, delays = request.getfixturevalue(scene_name)
         default, _ = beamform_image(frame, delays, kind)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        cpus(1)
         serial, _ = beamform_image(frame, delays, kind)
         assert np.array_equal(default, serial)
 
-    def test_more_workers_than_cores_fill_every_column(self, scene, monkeypatch):
+    def test_more_workers_than_cores_fill_every_column(self, scene, cpus):
         frame, delays = scene
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        cpus(1)
         serial, _ = beamform_image(frame, delays, BeamformerKind.DSDMAS)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        cpus(64)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -355,7 +354,7 @@ class TestBeamformImage:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_worker_error_is_raised_after_every_thread_ends(self, scene, monkeypatch):
+    def test_worker_error_is_raised_after_every_thread_ends(self, scene, monkeypatch, cpus):
         frame, delays = scene
         gather = beamformers.fetch_delayed
 
@@ -364,14 +363,14 @@ class TestBeamformImage:
                 raise ValueError("gather failed in a worker")
             return gather(frame, block)
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cpus(2)
         monkeypatch.setattr(beamformers, "fetch_delayed", fails_off_main_thread)
         threads_before = threading.active_count()
         with pytest.raises(ValueError, match="gather failed in a worker"):
             beamform_image(frame, delays, BeamformerKind.DMAS_FAST)
         assert threading.active_count() == threads_before
 
-    def test_gathers_each_column_once_through_the_module_global(self, scene, monkeypatch):
+    def test_gathers_each_column_once_through_the_module_global(self, scene, monkeypatch, cpus):
         frame, delays = scene
         gather = beamformers.fetch_delayed
         calls = []
@@ -380,7 +379,7 @@ class TestBeamformImage:
             calls.append(block.shape)
             return gather(frame, block)
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cpus(2)
         monkeypatch.setattr(beamformers, "fetch_delayed", counted)
         beamform_image(frame, delays, BeamformerKind.DAS)
         assert len(calls) == delays.grid.nx

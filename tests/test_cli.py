@@ -267,16 +267,22 @@ OVERRIDE_CASES = {
 }
 
 
+def input_args(command, shared, wire_rf, tmp_path):
+    """``shared`` led by the subcommand's input file, made on demand."""
+    if command in ("render", "profile"):
+        source = str(tmp_path / "in.uim")
+        assert run(["beamform", wire_rf, "--algo", "das", *GRID_FLAGS, "--out", source]) == 0
+        return [source, *shared]
+    if command == "beamform":
+        return [wire_rf, *shared]
+    return shared
+
+
 class TestConfig:
     @pytest.mark.parametrize("command", list(OVERRIDE_CASES))
     def test_flags_override_config_file(self, command, wire_rf, tmp_path):
         shared, line, flag, suffix = OVERRIDE_CASES[command]
-        if command in ("render", "profile"):
-            source = str(tmp_path / "in.uim")
-            assert run(["beamform", wire_rf, "--algo", "das", *GRID_FLAGS, "--out", source]) == 0
-            shared = [source, *shared]
-        elif command == "beamform":
-            shared = [wire_rf, *shared]
+        shared = input_args(command, shared, wire_rf, tmp_path)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
 
@@ -306,6 +312,24 @@ class TestConfig:
         assert run([*argv, "--out", str(out)]) == 1
         field = argv[-2].lstrip("-").replace("-", "_")
         assert f"{field} must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    # beamform takes fs, f0 and the element count from the RF file; render
+    # and profile read only dynamic_range
+    @pytest.mark.parametrize("command", ["beamform", "render", "profile"])
+    def test_fields_the_command_does_not_read_are_not_checked(self, command, wire_rf, tmp_path):
+        shared, _, _, suffix = OVERRIDE_CASES[command]
+        shared = input_args(command, shared, wire_rf, tmp_path)
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text("fs = 1e6  # violates fs > 2 f0\nelements = 0\n")
+        out = tmp_path / f"out.{suffix}"
+        assert run([command, *shared, "--config", str(cfg), "--out", str(out)]) == 0
+        assert out.exists()
+
+    def test_fs_flag_below_twice_f0_fails(self, tmp_path, capsys):
+        out = tmp_path / "x.urf"
+        assert run(["simulate", "--fs", "1e6", "--out", str(out)]) == 1
+        assert "fs must exceed 2 * f0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_comments_and_blank_lines(self, tmp_path):

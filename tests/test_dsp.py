@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from usbeam import FilterSpec, bandpass, bandpass_image, envelope, envelope_image, log_compress
-from usbeam.dsp import design_bandpass
+from usbeam.dsp import _ENVELOPE_BLOCK, design_bandpass
 
 FS = 100e6
 F0 = 3e6
@@ -11,6 +13,17 @@ SPEC = FilterSpec(center=2 * F0, half_bandwidth=1.5e6, taps=63)
 
 def tone(freq, n=4000, fs=FS, phase=0.0):
     return np.sin(2 * np.pi * freq * np.arange(n) / fs + phase)
+
+
+def whole_image_envelope(img):
+    """Oracle: every column's envelope from one image-wide transform."""
+    nfft = 1 << (img.shape[0] - 1).bit_length()
+    weights = np.zeros(nfft)
+    weights[0] = weights[nfft // 2] = 1.0
+    weights[1 : nfft // 2] = 2.0
+    spectrum = np.fft.fft(img, nfft, axis=0)
+    analytic = np.fft.ifft(spectrum * weights[:, None], axis=0)
+    return np.abs(analytic[: img.shape[0], :])
 
 
 class TestFilterSpec:
@@ -79,6 +92,13 @@ class TestBandpass:
         for j in range(4):
             assert np.array_equal(out[:, j], bandpass(img[:, j], SPEC, FS))
 
+    def test_output_does_not_depend_on_worker_count(self, cpus):
+        img = np.random.default_rng(6).normal(size=(300, 7))
+        cpus(1)
+        serial = bandpass_image(img, SPEC, FS)
+        cpus(64)
+        assert np.array_equal(bandpass_image(img, SPEC, FS), serial)
+
 
 class TestEnvelope:
     def test_zero_sequence(self):
@@ -110,6 +130,31 @@ class TestEnvelope:
         out = envelope_image(img)
         for j in range(3):
             assert np.allclose(out[:, j], envelope(img[:, j]), rtol=1e-12, atol=1e-12)
+
+    # two full column blocks and a ragged one, and a single column
+    @pytest.mark.parametrize("nx", [2 * _ENVELOPE_BLOCK + 3, 1])
+    def test_blocks_match_whole_image_transform(self, nx):
+        img = np.random.default_rng(7).normal(size=(300, nx))
+        assert np.array_equal(envelope_image(img), whole_image_envelope(img))
+
+    def test_output_does_not_depend_on_worker_count(self, cpus):
+        img = np.random.default_rng(8).normal(size=(300, 2 * _ENVELOPE_BLOCK + 3))
+        cpus(1)
+        serial = envelope_image(img)
+        cpus(64)
+        assert np.array_equal(envelope_image(img), serial)
+
+    def test_work_arrays_are_narrower_than_the_image(self, cpus):
+        cpus(2)
+        img = np.random.default_rng(9).normal(size=(1000, 512))
+        tracemalloc.start()
+        try:
+            envelope_image(img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one image-wide complex spectrum; the output alone is half of it
+        assert peak < 1024 * 512 * 16
 
 
 class TestLogCompress:

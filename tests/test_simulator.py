@@ -32,6 +32,16 @@ PULSE = PulseModel(f0=3e6, cycles=2)
 FS = 100e6
 
 
+def chunked_phantom(seed):
+    """More scatterers than one accumulation chunk, amplitudes of both signs."""
+    rng = np.random.default_rng(seed)
+    count = _ACCUM_CHUNK + 500
+    scatterers = np.column_stack([
+        rng.uniform(-3e-3, 3e-3, count), rng.uniform(5e-3, 15e-3, count), rng.uniform(-1.0, 1.0, count)
+    ])
+    return Phantom(scatterers, x_bounds=(-3e-3, 3e-3), z_bounds=(5e-3, 15e-3))
+
+
 def point_phantom(x, z, amplitude=1.0):
     return Phantom(
         scatterers=np.array([[x, z, amplitude]]),
@@ -195,13 +205,9 @@ class TestSynthesize:
     def test_matches_per_pair_placement_oracle(self):
         # Oracle: each scatterer-element pair adds its own linearly
         # interpolated pulse, w * ((1 - frac) * p[n] + frac * p[n + 1]) at
-        # k0 + n. More scatterers than one accumulation chunk, both signs.
-        rng = np.random.default_rng(8)
-        count = _ACCUM_CHUNK + 500
-        scatterers = np.column_stack([
-            rng.uniform(-3e-3, 3e-3, count), rng.uniform(5e-3, 15e-3, count), rng.uniform(-1.0, 1.0, count)
-        ])
-        phantom = Phantom(scatterers, x_bounds=(-3e-3, 3e-3), z_bounds=(5e-3, 15e-3))
+        # k0 + n.
+        phantom = chunked_phantom(8)
+        scatterers = phantom.scatterers
         geom = linear_array(6, 0.3e-3)
         frame = synthesize_rf(phantom, geom, PULSE, FS)
 
@@ -217,6 +223,16 @@ class TestSynthesize:
         for i in range(geom.element_count):
             np.add.at(oracle[i], k0[:, i, None] + np.arange(p.size), segments[:, i])
         assert np.max(np.abs(frame.samples - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    def test_output_does_not_depend_on_worker_count(self, cpus):
+        # 7 channels: two or three workers take unequal shares
+        phantom = chunked_phantom(9)
+        geom = linear_array(7, 0.3e-3)
+        cpus(1)
+        serial = synthesize_rf(phantom, geom, PULSE, FS).samples
+        for count in (2, 3, 64):
+            cpus(count)
+            assert np.array_equal(synthesize_rf(phantom, geom, PULSE, FS).samples, serial)
 
     def test_rejects_empty_phantom(self):
         geom = linear_array(4, 0.3e-3)

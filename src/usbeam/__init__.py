@@ -26,7 +26,6 @@ from .simulator import (
     NoiseSpec,
     Phantom,
     PulseModel,
-    PulseWeighting,
     add_noise,
     make_cyst_phantom,
     make_tumor_phantom,

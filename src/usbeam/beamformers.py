@@ -21,7 +21,7 @@ from .workers import distribute
 
 class BeamformerKind(Enum):
     DAS = "das"
-    DMAS_FAST = "dmas"
+    DMAS = "dmas"
     DSDMAS = "dsdmas"
 
 
@@ -54,7 +54,7 @@ def op_count(kind: BeamformerKind, element_count: int) -> OpCount:
         if m < 1:
             raise ValueError("DAS needs at least 1 element")
         return OpCount(multiplies=0, special_ops=0, total=m)
-    if kind is BeamformerKind.DMAS_FAST:
+    if kind is BeamformerKind.DMAS:
         if m < 2:
             raise ValueError("DMAS needs at least 2 elements")
         pairs = m * (m - 1) // 2
@@ -88,22 +88,23 @@ def _pair_sum(x: np.ndarray) -> np.ndarray:
 # per-pixel functions and beamform_image, which passes (M, nz) blocks.
 _KERNELS = {
     BeamformerKind.DAS: lambda x: np.sum(x, axis=0),
-    BeamformerKind.DMAS_FAST: _pair_sum,
+    BeamformerKind.DMAS: _pair_sum,
     BeamformerKind.DSDMAS: lambda x: _pair_sum(_couple(x)),
 }
 
 
-def _vector(delayed, min_size: int, message: str) -> np.ndarray:
+def _vector(delayed, kind: BeamformerKind) -> np.ndarray:
+    """The delayed samples as a 1-D vector, sized for ``kind`` by :func:`op_count`."""
     xd = np.asarray(delayed, dtype=float)
-    if xd.ndim != 1 or xd.size < min_size:
-        raise ValueError(message)
+    if xd.ndim != 1:
+        raise ValueError("delayed samples must form a 1-D vector")
+    op_count(kind, xd.size)
     return xd
 
 
 def das_pixel(delayed) -> float:
     """Sum of the delayed samples across the aperture."""
-    xd = _vector(delayed, 1, "delayed samples must form a 1-D vector with at least 1 entry")
-    return float(_KERNELS[BeamformerKind.DAS](xd))
+    return float(_KERNELS[BeamformerKind.DAS](_vector(delayed, BeamformerKind.DAS)))
 
 
 def dmas_pixel_naive(delayed) -> float:
@@ -114,7 +115,7 @@ def dmas_pixel_naive(delayed) -> float:
     Quadratic in the aperture size — kept as the reference evaluation the
     fast form is checked against.
     """
-    xs = _vector(delayed, 2, "pairwise coupling needs at least 2 elements").tolist()
+    xs = _vector(delayed, BeamformerKind.DMAS).tolist()
     total = 0.0
     for i in range(len(xs) - 1):
         xi = xs[i]
@@ -136,8 +137,7 @@ def dmas_pixel_fast(delayed) -> float:
     pair products to two sums while computing the same value as
     :func:`dmas_pixel_naive`.
     """
-    xd = _vector(delayed, 2, "pairwise coupling needs at least 2 elements")
-    return float(_KERNELS[BeamformerKind.DMAS_FAST](xd))
+    return float(_KERNELS[BeamformerKind.DMAS](_vector(delayed, BeamformerKind.DMAS)))
 
 
 def stage_one_terms(delayed) -> np.ndarray:
@@ -148,7 +148,7 @@ def stage_one_terms(delayed) -> np.ndarray:
     the DMAS output. Stage two runs the pairwise coupling again on these
     terms.
     """
-    return _couple(_vector(delayed, 3, "stage decomposition needs at least 3 elements"))
+    return _couple(_vector(delayed, BeamformerKind.DSDMAS))
 
 
 def dsdmas_pixel(delayed) -> float:
@@ -167,8 +167,7 @@ def dsdmas_pixel(delayed) -> float:
     [100, 12, 26, -(sqrt(12) + sqrt(26))**2] they differ by 7.5 times that
     scale.
     """
-    xd = _vector(delayed, 3, "stage decomposition needs at least 3 elements")
-    return float(_KERNELS[BeamformerKind.DSDMAS](xd))
+    return float(_KERNELS[BeamformerKind.DSDMAS](_vector(delayed, BeamformerKind.DSDMAS)))
 
 
 def beamform_image(frame: RfFrame, delays: DelayTable, kind: BeamformerKind):
@@ -177,8 +176,8 @@ def beamform_image(frame: RfFrame, delays: DelayTable, kind: BeamformerKind):
     Parameters
     ----------
     frame : RfFrame
-        Channel data; its element count and sampling rate must match the
-        delay table.
+        Channel data; its element count, sampling rate and sound speed
+        must match the delay table.
     delays : DelayTable
         From :func:`compute_delays`.
     kind : BeamformerKind
@@ -205,6 +204,10 @@ def beamform_image(frame: RfFrame, delays: DelayTable, kind: BeamformerKind):
         raise ValueError("delay table does not match the frame's element count")
     if delays.fs != frame.fs:
         raise ValueError(f"delay table built for fs={delays.fs:.6g} Hz, frame sampled at fs={frame.fs:.6g} Hz")
+    if delays.geometry.sound_speed != frame.c:
+        raise ValueError(
+            f"delay table built for c={delays.geometry.sound_speed:.6g} m/s, frame recorded at c={frame.c:.6g} m/s"
+        )
     ops = op_count(kind, m)
     kernel = _KERNELS[kind]
     out = np.empty((delays.grid.nz, delays.grid.nx))

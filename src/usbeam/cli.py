@@ -32,7 +32,6 @@ from .simulator import (
     synthesize_rf,
 )
 
-_ALGOS = {kind.value: kind for kind in BeamformerKind}
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
 # Dynamic range used when metrics need a dB profile; deep enough that the
@@ -118,7 +117,7 @@ def cmd_simulate(args) -> int:
 def cmd_beamform(args) -> int:
     cfg = _config_from(args)
     frame, pitch = containers.read_rf(args.rf_path)
-    kind = _ALGOS[args.algo]
+    kind = BeamformerKind(args.algo)
     geometry = linear_array(frame.element_count, pitch, frame.c)
     grid = _grid_from(cfg)
     spec = default_filter(
@@ -263,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bf = sub.add_parser("beamform", help="reconstruct an envelope image from RF data")
     bf.add_argument("rf_path", help="input RF container")
-    bf.add_argument("--algo", required=True, choices=sorted(_ALGOS))
+    bf.add_argument("--algo", required=True, choices=[kind.value for kind in BeamformerKind])
     bf.add_argument("--config", help="key=value config file")
     for name in ("x-min", "x-max", "z-min", "z-max"):
         bf.add_argument(f"--{name}", dest=name.replace("-", "_"), type=float,

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -14,19 +13,13 @@ from .rfmodel import RfFrame
 from .workers import distribute
 
 
-class PulseWeighting(Enum):
-    RECTANGULAR = "rectangular"
-    HANN = "hann"
-
-
 @dataclass(frozen=True)
 class PulseModel:
-    """Sinusoidal burst: f0 in Hz, an integer number of cycles, and an
-    amplitude weighting window."""
+    """Sinusoidal burst with a rectangular envelope: f0 in Hz and an
+    integer number of cycles."""
 
     f0: float
     cycles: int = 2
-    weighting: PulseWeighting = PulseWeighting.RECTANGULAR
 
     def __post_init__(self):
         if not self.f0 > 0:
@@ -42,6 +35,10 @@ class NoiseSpec:
 
     target_snr_db: float
     seed: int = 0
+
+    def __post_init__(self):
+        if not self.target_snr_db > -math.inf:
+            raise ValueError(f"target_snr_db must be a number above -inf, got {self.target_snr_db!r}")
 
 
 @dataclass(frozen=True)
@@ -192,21 +189,19 @@ def pulse_waveform(pulse: PulseModel, fs: float) -> np.ndarray:
     """Sampled burst waveform at rate fs."""
     if not fs > 2.0 * pulse.f0:
         raise ValueError("fs must exceed 2 * f0")
-    duration = pulse.cycles / pulse.f0
-    n = int(math.floor(duration * fs)) + 1
+    n = int(math.floor(pulse.cycles / pulse.f0 * fs)) + 1
     t = np.arange(n) / fs
-    w = np.sin(2.0 * np.pi * pulse.f0 * t)
-    if pulse.weighting is PulseWeighting.HANN:
-        w *= 0.5 * (1.0 - np.cos(2.0 * np.pi * t / duration))
-    return w
+    return np.sin(2.0 * np.pi * pulse.f0 * t)
 
 
-def round_trip_pulse(excitation: PulseModel, impulse_response: PulseModel, fs: float) -> np.ndarray:
-    """Round-trip waveform: the excitation convolved with the element
-    impulse response twice (transmit and receive)."""
-    e = pulse_waveform(excitation, fs)
-    h = pulse_waveform(impulse_response, fs)
-    return np.convolve(np.convolve(e, h), h)
+def round_trip_pulse(pulse: PulseModel, fs: float) -> np.ndarray:
+    """Round-trip waveform: the excitation convolved twice (transmit and
+    receive) with the element impulse response, a two-cycle Hann-weighted
+    burst at the excitation's f0. Its first sample is exactly 0."""
+    h = pulse_waveform(PulseModel(f0=pulse.f0, cycles=2), fs)
+    t = np.arange(h.size) / fs
+    h *= 0.5 * (1.0 - np.cos(2.0 * np.pi * t / (2 / pulse.f0)))
+    return np.convolve(np.convolve(pulse_waveform(pulse, fs), h), h)
 
 
 def synthesize_rf(
@@ -240,8 +235,8 @@ def synthesize_rf(
     phantom : Phantom
     geometry : ArrayGeometry
     pulse : PulseModel
-        Excitation burst. The element impulse response is a two-cycle
-        Hann-weighted burst at the same center frequency.
+        Excitation burst; see :func:`round_trip_pulse` for the element
+        impulse response.
     fs : float
         Sampling rate in Hz.
 
@@ -254,8 +249,7 @@ def synthesize_rf(
     scatterers = phantom.scatterers
     if scatterers.shape[0] == 0:
         raise ValueError("phantom has no scatterers")
-    impulse_response = PulseModel(f0=pulse.f0, cycles=2, weighting=PulseWeighting.HANN)
-    p = round_trip_pulse(pulse, impulse_response, fs)
+    p = round_trip_pulse(pulse, fs)
 
     c = geometry.sound_speed
     ex = geometry.element_x
@@ -307,12 +301,15 @@ def add_noise(frame: RfFrame, spec: NoiseSpec) -> RfFrame:
 
     The noise variance is signal_power / 10^(SNR/10); the realization is
     deterministic for a fixed seed. Targets of 300 dB or more return the
-    input frame unchanged.
+    input frame unchanged; targets too low for a finite variance raise.
     """
     if spec.target_snr_db >= 300.0:
         return frame
     power = signal_power(frame.samples)
-    sigma = math.sqrt(power / 10.0 ** (spec.target_snr_db / 10.0))
+    ratio = 10.0 ** (spec.target_snr_db / 10.0)
+    if not (ratio > 0 and math.isfinite(power / ratio)):
+        raise ValueError(f"target_snr_db={spec.target_snr_db:g} dB implies a noise variance that is not finite")
+    sigma = math.sqrt(power / ratio)
     rng = np.random.default_rng(spec.seed)
     noisy = frame.samples + sigma * rng.standard_normal(frame.samples.shape)
     return RfFrame(samples=noisy, fs=frame.fs, f0=frame.f0, c=frame.c)

@@ -55,7 +55,7 @@ FS = 100e6
 C = 1540.0
 PITCH = 0.5 * C / F0
 PULSE = PulseModel(f0=F0, cycles=2)
-KINDS = (BeamformerKind.DAS, BeamformerKind.DMAS_FAST, BeamformerKind.DSDMAS)
+KINDS = (BeamformerKind.DAS, BeamformerKind.DMAS, BeamformerKind.DSDMAS)
 
 WIRE_M = 64
 WIRE_SEP = 6e-3
@@ -63,13 +63,13 @@ WIRE_GRID = ImageGrid(x_min=-14e-3, x_max=14e-3, z_min=28e-3, z_max=66e-3, nx=56
 # matched-Q sidelobe filters: 25% fractional bandwidth for every kernel
 SIDELOBE_BANDS = {
     BeamformerKind.DAS: FilterSpec(center=F0, half_bandwidth=0.25 * F0, taps=63),
-    BeamformerKind.DMAS_FAST: FilterSpec(center=2 * F0, half_bandwidth=0.5 * F0, taps=63),
+    BeamformerKind.DMAS: FilterSpec(center=2 * F0, half_bandwidth=0.5 * F0, taps=63),
     BeamformerKind.DSDMAS: FilterSpec(center=2 * F0, half_bandwidth=0.5 * F0, taps=63),
 }
 # package-default bands for the noise and contrast experiments
 NOISE_BANDS = {
     BeamformerKind.DAS: FilterSpec(center=F0, half_bandwidth=0.5 * F0, taps=63),
-    BeamformerKind.DMAS_FAST: FilterSpec(center=2 * F0, half_bandwidth=0.5 * F0, taps=63),
+    BeamformerKind.DMAS: FilterSpec(center=2 * F0, half_bandwidth=0.5 * F0, taps=63),
     BeamformerKind.DSDMAS: FilterSpec(center=2 * F0, half_bandwidth=0.5 * F0, taps=63),
 }
 
@@ -237,13 +237,13 @@ def test_criterion_04_op_counts_match_complexity_model():
     for m in range(2, 129):
         if op_count(BeamformerKind.DAS, m).total != m:
             bad.append(("das", m))
-        if op_count(BeamformerKind.DMAS_FAST, m).total != m * (m - 1) // 2 + 2 * (m - 1):
+        if op_count(BeamformerKind.DMAS, m).total != m * (m - 1) // 2 + 2 * (m - 1):
             bad.append(("dmas", m))
         if m >= 3 and op_count(BeamformerKind.DSDMAS, m).total != m * (m - 1) + 3 * (m - 1):
             bad.append(("dsdmas", m))
     spot = (
         op_count(BeamformerKind.DAS, 128).total,
-        op_count(BeamformerKind.DMAS_FAST, 128).total,
+        op_count(BeamformerKind.DMAS, 128).total,
         op_count(BeamformerKind.DSDMAS, 128).total,
     )
     ok = not bad and spot == (128, 8382, 16637)
@@ -276,8 +276,8 @@ def test_criterion_05_sidelobe_ordering(wire_rig):
         for kind in KINDS:
             iz, ix = apparent_peak(envs[kind], WIRE_GRID, z, 0.0)
             levels[kind] = first_sidelobe_right(row_db(envs[kind], iz), ix)
-        assert levels[BeamformerKind.DMAS_FAST] <= levels[BeamformerKind.DAS] - 10.0
-        assert levels[BeamformerKind.DSDMAS] <= levels[BeamformerKind.DMAS_FAST] - 8.0
+        assert levels[BeamformerKind.DMAS] <= levels[BeamformerKind.DAS] - 10.0
+        assert levels[BeamformerKind.DSDMAS] <= levels[BeamformerKind.DMAS] - 8.0
     assert elapsed < 60.0
 
 

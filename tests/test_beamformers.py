@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 
@@ -241,13 +242,13 @@ class TestOpCount:
     def test_closed_forms(self):
         for m in range(2, 129):
             assert op_count(BeamformerKind.DAS, m).total == m
-            assert op_count(BeamformerKind.DMAS_FAST, m).total == m * (m - 1) // 2 + 2 * (m - 1)
+            assert op_count(BeamformerKind.DMAS, m).total == m * (m - 1) // 2 + 2 * (m - 1)
             if m >= 3:
                 assert op_count(BeamformerKind.DSDMAS, m).total == m * (m - 1) + 3 * (m - 1)
 
     def test_reference_values_at_128(self):
         assert op_count(BeamformerKind.DAS, 128).total == 128
-        assert op_count(BeamformerKind.DMAS_FAST, 128).total == 8382
+        assert op_count(BeamformerKind.DMAS, 128).total == 8382
         assert op_count(BeamformerKind.DSDMAS, 128).total == 16637
 
     def test_totals_decompose(self):
@@ -256,9 +257,25 @@ class TestOpCount:
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            op_count(BeamformerKind.DMAS_FAST, 1)
+            op_count(BeamformerKind.DMAS, 1)
         with pytest.raises(ValueError):
             op_count(BeamformerKind.DSDMAS, 2)
+
+    @pytest.mark.parametrize(
+        "pixel_fn,kind,size",
+        [
+            (das_pixel, BeamformerKind.DAS, 0),
+            (dmas_pixel_naive, BeamformerKind.DMAS, 1),
+            (dmas_pixel_fast, BeamformerKind.DMAS, 1),
+            (stage_one_terms, BeamformerKind.DSDMAS, 2),
+            (dsdmas_pixel, BeamformerKind.DSDMAS, 2),
+        ],
+    )
+    def test_too_short_vectors_raise_the_op_count_message(self, pixel_fn, kind, size):
+        with pytest.raises(ValueError) as stated:
+            op_count(kind, size)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(stated.value))}$"):
+            pixel_fn(np.ones(size))
 
 
 class TestBeamformImage:
@@ -275,7 +292,7 @@ class TestBeamformImage:
         "kind,pixel_fn",
         [
             (BeamformerKind.DAS, das_pixel),
-            (BeamformerKind.DMAS_FAST, dmas_pixel_fast),
+            (BeamformerKind.DMAS, dmas_pixel_fast),
             (BeamformerKind.DSDMAS, dsdmas_pixel),
         ],
     )
@@ -325,6 +342,12 @@ class TestBeamformImage:
         with pytest.raises(ValueError, match=r"fs=1e\+08 Hz, frame sampled at fs=5e\+07 Hz"):
             beamform_image(slower, delays, BeamformerKind.DAS)
 
+    def test_rejects_mismatched_sound_speed(self, scene):
+        frame, delays = scene
+        slow = compute_delays(linear_array(8, 0.3e-3, sound_speed=1400.0), delays.grid, frame.fs)
+        with pytest.raises(ValueError, match="c=1400 m/s, frame recorded at c=1540 m/s"):
+            beamform_image(frame, slow, BeamformerKind.DAS)
+
     @pytest.fixture()
     def single_column_scene(self, scene):
         frame, delays = scene
@@ -367,7 +390,7 @@ class TestBeamformImage:
         monkeypatch.setattr(beamformers, "fetch_delayed", fails_off_main_thread)
         threads_before = threading.active_count()
         with pytest.raises(ValueError, match="gather failed in a worker"):
-            beamform_image(frame, delays, BeamformerKind.DMAS_FAST)
+            beamform_image(frame, delays, BeamformerKind.DMAS)
         assert threading.active_count() == threads_before
 
     def test_gathers_each_column_once_through_the_module_global(self, scene, monkeypatch, cpus):

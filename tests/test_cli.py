@@ -55,6 +55,14 @@ class TestSimulate:
         realized = float(dict(line.split("=") for line in text.splitlines())["realized_snr_db"])
         assert realized == pytest.approx(10.0, abs=0.5)
 
+    @pytest.mark.parametrize("snr", ["-inf", "-4000", "nan"])
+    def test_unusable_snr_target_is_named(self, snr, tmp_path, capsys):
+        assert run(["simulate", "--phantom", "custom", "--custom-scatterers", "0,12,1",
+                    "--elements", "8", f"--snr-db={snr}", "--out", str(tmp_path / "x.urf")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "target_snr_db" in err
+        assert "Traceback" not in err
+
     def test_unknown_phantom_fails(self, tmp_path, capsys):
         assert run(["simulate", "--phantom", "custom", "--custom-scatterers", "",
                     "--out", str(tmp_path / "x.urf")]) == 1

@@ -5,7 +5,6 @@ from usbeam import (
     NoiseSpec,
     Phantom,
     PulseModel,
-    PulseWeighting,
     add_noise,
     linear_array,
     make_cyst_phantom,
@@ -134,16 +133,29 @@ class TestPulse:
         assert w.size == expected
         assert w[0] == 0.0
 
-    def test_hann_weighting_tapers_ends(self):
-        w = pulse_waveform(PulseModel(f0=3e6, cycles=2, weighting=PulseWeighting.HANN), FS)
-        assert abs(w[0]) < 1e-12
-        assert abs(w[-1]) < 1e-3
-        assert np.max(np.abs(w)) > 0.5
+    @pytest.mark.parametrize(
+        "f0,fs,cycles", [(3e6, 100e6, 2), (2.5e6, 40e6, 3), (5e6, 33.3e6, 1), (7.1e6, 123.4e6, 4)]
+    )
+    def test_round_trip_is_excitation_twice_through_a_hann_element(self, f0, fs, cycles):
+        # the sampled bursts, written out independently of the package
+        def burst(cycles, hann):
+            duration = cycles / f0
+            t = np.arange(int(np.floor(duration * fs)) + 1) / fs
+            w = np.sin(2.0 * np.pi * f0 * t)
+            if hann:
+                w *= 0.5 * (1.0 - np.cos(2.0 * np.pi * t / duration))
+            return w
+
+        h = burst(2, hann=True)
+        p = round_trip_pulse(PulseModel(f0=f0, cycles=cycles), fs)
+        assert np.array_equal(p, np.convolve(np.convolve(burst(cycles, hann=False), h), h))
+        # synthesize_rf's two-impulse placement relies on this
+        assert p[0] == 0.0
 
     def test_round_trip_is_double_convolution(self):
         e = pulse_waveform(PULSE, FS)
-        h = pulse_waveform(PulseModel(f0=3e6, cycles=2, weighting=PulseWeighting.HANN), FS)
-        p = round_trip_pulse(PULSE, PulseModel(f0=3e6, cycles=2, weighting=PulseWeighting.HANN), FS)
+        h = pulse_waveform(PulseModel(f0=3e6, cycles=2), FS)
+        p = round_trip_pulse(PULSE, FS)
         assert p.size == e.size + 2 * h.size - 2
 
     def test_pulse_validation(self):
@@ -159,7 +171,7 @@ class TestSynthesize:
         geom = linear_array(5, 0.3e-3)
         z = 20e-3
         frame = synthesize_rf(point_phantom(0.0, z), geom, PULSE, FS)
-        p = round_trip_pulse(PULSE, PulseModel(f0=3e6, cycles=2, weighting=PulseWeighting.HANN), FS)
+        p = round_trip_pulse(PULSE, FS)
         mid_channel = frame.samples[2]
         expected = FS * 2 * z / 1540.0 + np.argmax(np.abs(p))
         assert abs(np.argmax(np.abs(mid_channel)) - expected) <= 2
@@ -211,7 +223,7 @@ class TestSynthesize:
         geom = linear_array(6, 0.3e-3)
         frame = synthesize_rf(phantom, geom, PULSE, FS)
 
-        p = round_trip_pulse(PULSE, PulseModel(f0=3e6, cycles=2, weighting=PulseWeighting.HANN), FS)
+        p = round_trip_pulse(PULSE, FS)
         p_next = np.append(p[1:], 0.0)
         sx, sz, amp = (scatterers[:, i : i + 1] for i in range(3))
         r = np.sqrt((sx - geom.element_x) ** 2 + sz**2)
@@ -259,6 +271,19 @@ def frame():
 class TestNoise:
     def test_huge_target_returns_frame_unchanged(self, frame):
         assert add_noise(frame, NoiseSpec(target_snr_db=300.0)) is frame
+        assert add_noise(frame, NoiseSpec(target_snr_db=float("inf"))) is frame
+
+    @pytest.mark.parametrize("target", [float("nan"), float("-inf")])
+    def test_spec_rejects_nan_and_minus_infinity(self, target):
+        with pytest.raises(ValueError, match="target_snr_db"):
+            NoiseSpec(target_snr_db=target)
+
+    @pytest.mark.parametrize("target", [-4000.0, -3100.0])
+    def test_target_too_low_for_a_finite_variance_is_named(self, frame, target):
+        # 10 ** -400 underflows to 0; 10 ** -310 is subnormal and the
+        # variance overflows
+        with pytest.raises(ValueError, match="target_snr_db"):
+            add_noise(frame, NoiseSpec(target_snr_db=target))
 
     def test_seeded_determinism(self, frame):
         a = add_noise(frame, NoiseSpec(target_snr_db=10.0, seed=42))

@@ -82,23 +82,21 @@ def _config_from(args) -> RunConfig:
     """The config file's values, overridden by every parsed flag whose
     dest names a RunConfig field.
 
-    Each subcommand has a flag for every field it reads, so only those
-    fields are validated.
+    Nothing is checked here: each value is checked by the library object
+    that uses it, before that object does any work.
     """
     cfg = load_config(args.config)
-    flags = {key: value for key, value in vars(args).items() if key in _CONFIG_KEYS}
-    apply_overrides(cfg, flags)
-    cfg.validate(flags.keys())
-    return cfg
+    return apply_overrides(cfg, {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS})
 
 
 def cmd_simulate(args) -> int:
     cfg = _config_from(args)
+    noise = NoiseSpec(target_snr_db=cfg.snr_db, seed=cfg.seed)
     geometry = linear_array(cfg.elements, cfg.pitch, cfg.c)
     phantom = build_phantom(cfg)
     pulse = PulseModel(f0=cfg.f0, cycles=cfg.cycles)
     clean = synthesize_rf(phantom, geometry, pulse, cfg.fs)
-    frame = add_noise(clean, NoiseSpec(target_snr_db=cfg.snr_db, seed=cfg.seed))
+    frame = add_noise(clean, noise)
     if frame is clean:
         realized = "inf"
     else:

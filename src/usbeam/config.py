@@ -1,13 +1,13 @@
 """Run configuration: a flat key=value file with command-line overrides.
 
-All physical quantities are SI (meters, Hz, m/s); angles of attack like
-grid extents may be negative, but rates, counts and ranges must be
-positive. Flags win over file values, which win over the defaults below.
+All physical quantities are SI (meters, Hz, m/s); grid extents may be
+negative, but rates, counts and ranges must be positive. Flags win over
+file values, which win over the defaults below. A value is checked by the
+library object that uses it, so a value no run reads is never checked.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 # Half a wavelength at 3 MHz in 1540 m/s tissue.
@@ -44,27 +44,6 @@ class RunConfig:
     filter_half_bandwidth: float = 1.5e6
     filter_center: float = 0.0  # 0 selects f0 (das) or 2*f0 (product kernels)
     dynamic_range: float = 70.0
-
-    def validate(self, names) -> None:
-        """Check the fields in ``names``, the ones a subcommand reads.
-
-        The other fields are left unchecked, so one config file can serve
-        every subcommand even where it holds a value only another one could
-        use. fs and f0 are checked against each other when both are read.
-        """
-        names = set(names)
-        positive = (
-            "pair_separation", "speckle_density", "elements", "pitch", "f0", "fs", "c",
-            "cycles", "nx", "nz", "filter_taps", "filter_half_bandwidth", "dynamic_range",
-        )
-        for name in positive:
-            value = getattr(self, name)
-            if name in names and not (math.isfinite(value) and value > 0):
-                raise ValueError(f"config value {name} must be finite and positive, got {value!r}")
-        if {"fs", "f0"} <= names and self.fs <= 2.0 * self.f0:
-            raise ValueError("fs must exceed 2 * f0")
-        if "filter_center" in names and self.filter_center < 0:
-            raise ValueError("filter_center must be zero (auto) or positive")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import _require_finite_positive
 from .workers import distribute
 
 # Image columns per envelope transform. It bounds the complex work arrays to
@@ -22,8 +23,8 @@ class FilterSpec:
 
     center and half_bandwidth are in Hz; taps must be odd so the group
     delay is an integer number of samples. The passband must stay clear of
-    DC; the Nyquist side is checked against the sampling rate when the
-    filter is designed.
+    DC; :meth:`validate_rate` checks its Nyquist side against a sampling
+    rate, and :meth:`validate_line` also checks a line's length.
     """
 
     center: float
@@ -33,19 +34,24 @@ class FilterSpec:
     def __post_init__(self):
         if self.taps < 3 or self.taps % 2 == 0:
             raise ValueError("taps must be an odd integer >= 3")
-        if not (self.center > 0 and self.half_bandwidth > 0):
-            raise ValueError("center and half_bandwidth must be positive")
+        _require_finite_positive("center", self.center)
+        _require_finite_positive("half_bandwidth", self.half_bandwidth)
         if not self.center - self.half_bandwidth > 0:
             raise ValueError("passband must not reach DC")
 
     def validate_rate(self, fs: float) -> None:
-        if not fs > 0:
-            raise ValueError("sampling rate must be positive")
+        _require_finite_positive("fs", fs)
         if not self.center + self.half_bandwidth < fs / 2.0:
             raise ValueError(
                 f"passband edge {self.center + self.half_bandwidth:.6g} Hz reaches "
                 f"the Nyquist limit for fs={fs:.6g} Hz"
             )
+
+    def validate_line(self, n: int, fs: float) -> None:
+        """Check that an n-sample line at rate fs can be filtered."""
+        if n <= self.taps:
+            raise ValueError("image has fewer axial samples than filter taps")
+        self.validate_rate(fs)
 
 
 def design_bandpass(spec: FilterSpec, fs: float) -> np.ndarray:
@@ -83,8 +89,6 @@ def bandpass(signal, spec: FilterSpec, fs: float) -> np.ndarray:
     x = np.asarray(signal, dtype=float)
     if x.ndim != 1:
         raise ValueError("signal must be 1-D")
-    if x.size <= spec.taps:
-        raise ValueError("signal must be longer than the filter")
     return bandpass_image(x[:, None], spec, fs)[:, 0]
 
 
@@ -97,8 +101,7 @@ def bandpass_image(image, spec: FilterSpec, axial_rate: float) -> np.ndarray:
     img = np.asarray(image, dtype=float)
     if img.ndim != 2:
         raise ValueError("image must be 2-D")
-    if img.shape[0] <= spec.taps:
-        raise ValueError("image has fewer axial samples than filter taps")
+    spec.validate_line(img.shape[0], axial_rate)
     h = design_bandpass(spec, axial_rate)
     mid = (h.size - 1) // 2
     out = np.empty_like(img)
@@ -127,8 +130,6 @@ def envelope(signal) -> np.ndarray:
     x = np.asarray(signal, dtype=float)
     if x.ndim != 1:
         raise ValueError("signal must be 1-D")
-    if x.size < 4:
-        raise ValueError("signal too short for envelope detection")
     return envelope_image(x[:, None])[:, 0]
 
 
@@ -191,8 +192,7 @@ def log_compress(envelope_img, dynamic_range: float) -> DbImage:
     env = np.asarray(envelope_img, dtype=float)
     if np.any(env < 0):
         raise ValueError("envelope image must be nonnegative")
-    if not (np.isfinite(dynamic_range) and dynamic_range > 0):
-        raise ValueError(f"dynamic_range must be finite and positive, got {dynamic_range!r}")
+    _require_finite_positive("dynamic_range", dynamic_range)
     peak = env.max() if env.size else 0.0
     if not peak > 0:
         raise ValueError("cannot normalize an all-zero image")

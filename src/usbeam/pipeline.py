@@ -46,7 +46,9 @@ def reconstruct_envelope(
     Returns the envelope-domain image (nz, nx) and the per-pixel operation
     count of the beamforming kernel. ``filter_spec=None`` selects
     ``default_filter(kind, frame.f0)``. The grid's axial spacing must be
-    fine enough for the filter passband to clear the line's Nyquist limit.
+    fine enough for the filter passband to clear the line's Nyquist limit,
+    and nz must exceed the filter's taps; both are checked before any
+    beamforming.
     """
     delays = compute_delays(geometry, grid, frame.fs)
     return reconstruct_envelope_from_delays(frame, delays, grid, kind, filter_spec=filter_spec)
@@ -66,8 +68,10 @@ def reconstruct_envelope_from_delays(
     """
     if grid != delays.grid:
         raise ValueError(f"grid {grid} differs from the delay table's grid {delays.grid}")
-    raw, ops = beamform_image(frame, delays, kind)
     spec = filter_spec or default_filter(kind, frame.f0)
-    filtered = bandpass_image(raw, spec, axial_sample_rate(grid, frame.c))
+    axial_rate = axial_sample_rate(grid, frame.c)
+    spec.validate_line(grid.nz, axial_rate)  # fail before beamforming, not after
+    raw, ops = beamform_image(frame, delays, kind)
+    filtered = bandpass_image(raw, spec, axial_rate)
     del raw  # freed before the envelope allocates its work arrays
     return envelope_image(filtered), ops

@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import _require_finite_positive
+
 
 @dataclass(frozen=True)
 class RfFrame:
@@ -33,9 +35,7 @@ class RfFrame:
         if not np.all(np.isfinite(s)):
             raise ValueError("samples must be finite")
         for name in ("fs", "f0", "c"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+            _require_finite_positive(name, getattr(self, name))
         if not self.fs > 2.0 * self.f0:
             raise ValueError("fs must exceed 2 * f0")
         padded = np.zeros((s.shape[0], s.shape[1] + 3))

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ArrayGeometry
+from .geometry import ArrayGeometry, _require_finite_positive
 from .rfmodel import RfFrame
 from .workers import distribute
 
@@ -22,8 +22,7 @@ class PulseModel:
     cycles: int = 2
 
     def __post_init__(self):
-        if not self.f0 > 0:
-            raise ValueError("f0 must be positive")
+        _require_finite_positive("f0", self.f0)
         if self.cycles < 1:
             raise ValueError("cycles must be >= 1")
 
@@ -115,8 +114,7 @@ _ACCUM_CHUNK = 2048
 
 def make_wire_phantom(pair_separation: float = DEFAULT_PAIR_SEPARATION) -> Phantom:
     """Point-target phantom: wire pairs at six depths plus two single wires."""
-    if not pair_separation > 0:
-        raise ValueError("pair_separation must be positive")
+    _require_finite_positive("pair_separation", pair_separation)
     pts = [(0.0, z, 1.0) for z in WIRE_SINGLE_DEPTHS]
     for z in WIRE_PAIR_DEPTHS:
         pts.append((-pair_separation / 2.0, z, 1.0))
@@ -141,8 +139,7 @@ def _cyst_centers():
 def _speckle(seed: int, speckle_density: float, x_bounds, z_bounds):
     """Uniformly placed speckle scatterers in a box, amplitudes uniform on
     [-1, 1]: returns (x, z, amplitude) arrays, drawn in that order."""
-    if not (np.isfinite(speckle_density) and speckle_density > 0):
-        raise ValueError(f"speckle_density must be finite and positive, got {speckle_density!r}")
+    _require_finite_positive("speckle_density", speckle_density)
     rng = np.random.default_rng(seed)
     (x_lo, x_hi), (z_lo, z_hi) = x_bounds, z_bounds
     count = int(round(speckle_density * (x_hi - x_lo) * (z_hi - z_lo)))
@@ -187,6 +184,7 @@ def make_tumor_phantom(seed: int = 2024, speckle_density: float = DEFAULT_SPECKL
 
 def pulse_waveform(pulse: PulseModel, fs: float) -> np.ndarray:
     """Sampled burst waveform at rate fs."""
+    _require_finite_positive("fs", fs)
     if not fs > 2.0 * pulse.f0:
         raise ValueError("fs must exceed 2 * f0")
     n = int(math.floor(pulse.cycles / pulse.f0 * fs)) + 1

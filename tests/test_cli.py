@@ -1,9 +1,10 @@
+import re
 import struct
 
 import numpy as np
 import pytest
 
-from usbeam import ImageGrid, cli, log_compress
+from usbeam import ImageGrid, cli, log_compress, pipeline
 from usbeam.containers import read_image, read_rf, write_image
 from usbeam.metrics import RegionSpec, lateral_profile
 
@@ -62,6 +63,25 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "target_snr_db" in err
         assert "Traceback" not in err
+
+    def test_noise_target_is_checked_before_synthesis(self, monkeypatch, tmp_path, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "synthesize_rf", lambda *args: calls.append(args))
+        out = tmp_path / "x.urf"
+        assert run(["simulate", "--phantom", "cysts", "--snr-db=nan", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: target_snr_db")
+        assert calls == []
+        assert not out.exists()
+
+    # a value only another phantom reads is not checked
+    @pytest.mark.parametrize("argv", [
+        ["--phantom", "wires", "--speckle-density", "0"],
+        ["--phantom", "cysts", "--speckle-density", "2e5", "--pair-separation", "0"],
+    ], ids=["wires-speckle_density", "cysts-pair_separation"])
+    def test_value_the_phantom_does_not_read_is_not_checked(self, argv, tmp_path):
+        out = tmp_path / "x.urf"
+        assert run(["simulate", *argv, "--elements", "8", "--out", str(out)]) == 0
+        assert out.exists()
 
     def test_unknown_phantom_fails(self, tmp_path, capsys):
         assert run(["simulate", "--phantom", "custom", "--custom-scatterers", "",
@@ -149,6 +169,17 @@ class TestBeamform:
                     "--nx=9", "--nz=80", "--out", str(tmp_path / "x.uim")])
         assert code == 1
         assert "Nyquist" in capsys.readouterr().err
+
+    def test_filter_center_is_checked_before_beamforming(self, wire_rf, monkeypatch, tmp_path,
+                                                         capsys):
+        calls = []
+        monkeypatch.setattr(pipeline, "beamform_image", lambda *args: calls.append(args))
+        out = tmp_path / "x.uim"
+        assert run(["beamform", wire_rf, "--algo", "dsdmas", *GRID_FLAGS,
+                    "--filter-center", "inf", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: center must be finite and positive")
+        assert calls == []
+        assert not out.exists()
 
 
 class TestRender:
@@ -303,23 +334,47 @@ class TestConfig:
         assert both == output("flag", flag)
         assert both != output("file", ["--config", str(cfg)])
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["simulate", "--fs", "inf"],
-            ["simulate", "--phantom", "cysts", "--speckle-density", "inf"],
-            ["render", "IMAGE", "--dynamic-range", "inf"],
-        ],
-        ids=["fs", "speckle_density", "dynamic_range"],
-    )
-    def test_non_finite_flag_is_named(self, argv, wire_rf, tmp_path, capsys):
+    # Every flag value the CLI rejects, with the library field whose check
+    # names it: float fields get inf and NaN, int fields 0. The CLI checks
+    # nothing itself, so each rule is stated once, by the object using it;
+    # every float field goes through the one finite-and-positive check.
+    @pytest.mark.parametrize("argv,flag,value,field", [
+        pytest.param(argv, flag, value, field, id=f"{field}={value}")
+        for argv, flag, values, field in [
+            (["simulate"], "--fs", ("inf", "nan"), "fs"),
+            (["simulate"], "--f0", ("inf", "nan"), "f0"),
+            (["simulate"], "--pitch", ("inf", "nan"), "pitch"),
+            (["simulate"], "--c", ("inf", "nan"), "sound_speed"),
+            (["simulate"], "--elements", ("0",), "element_count"),
+            (["simulate"], "--cycles", ("0",), "cycles"),
+            (["simulate"], "--pair-separation", ("inf", "nan"), "pair_separation"),
+            (["simulate", "--phantom", "cysts"], "--speckle-density", ("inf", "nan"),
+             "speckle_density"),
+            (["beamform", "RF", "--algo", "das", *GRID_FLAGS], "--filter-taps", ("0",), "taps"),
+            (["beamform", "RF", "--algo", "das", *GRID_FLAGS], "--filter-half-bw", ("inf", "nan"),
+             "half_bandwidth"),
+            (["beamform", "RF", "--algo", "das", *GRID_FLAGS], "--filter-center", ("inf", "nan"),
+             "center"),
+            (["beamform", "RF", "--algo", "das", *GRID_FLAGS], "--nx", ("0",), "nx"),
+            (["beamform", "RF", "--algo", "das", *GRID_FLAGS], "--nz", ("0",), "nz"),
+            (["render", "IMAGE"], "--dynamic-range", ("inf", "nan"), "dynamic_range"),
+        ]
+        for value in values
+    ])
+    def test_rejected_value_names_the_library_field(self, argv, flag, value, field, wire_rf,
+                                                    tmp_path, capsys):
         image = str(tmp_path / "in.uim")
         assert run(["beamform", wire_rf, "--algo", "das", *GRID_FLAGS, "--out", image]) == 0
-        argv = [image if arg == "IMAGE" else arg for arg in argv]
+        argv = [{"RF": wire_rf, "IMAGE": image}.get(arg, arg) for arg in argv]
+        capsys.readouterr()
         out = tmp_path / "x.out"
-        assert run([*argv, "--out", str(out)]) == 1
-        field = argv[-2].lstrip("-").replace("-", "_")
-        assert f"{field} must be finite and positive" in capsys.readouterr().err
+        assert run([*argv, flag, value, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        first = err.splitlines()[0]
+        assert first.startswith("error: ")
+        # the int fields' rules have messages of their own
+        rule = r"\b" if value == "0" else " must be finite and positive"
+        assert re.search(rf"\b{field}{rule}", first)
         assert not out.exists()
 
     # beamform takes fs, f0 and the element count from the RF file; render

@@ -35,6 +35,13 @@ class TestFilterSpec:
         with pytest.raises(ValueError):
             FilterSpec(center=1e6, half_bandwidth=1e6, taps=63)
 
+    @pytest.mark.parametrize("field", ["center", "half_bandwidth"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0])
+    def test_band_must_be_finite_and_positive(self, field, bad):
+        values = {"center": 6e6, "half_bandwidth": 1e6, field: bad}
+        with pytest.raises(ValueError, match=f"^{field} must be finite and positive"):
+            FilterSpec(**values)
+
     def test_rejects_nyquist_violation(self):
         spec = FilterSpec(center=6e6, half_bandwidth=1.5e6, taps=63)
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from usbeam import (
     PulseModel,
     compute_delays,
     linear_array,
+    pipeline,
     reconstruct_envelope,
     reconstruct_envelope_from_delays,
     synthesize_rf,
@@ -39,3 +40,20 @@ def test_from_delays_rejects_a_grid_other_than_the_delays(scene):
     deeper = ImageGrid(x_min=-1e-3, x_max=1e-3, z_min=30e-3, z_max=38e-3, nx=5, nz=300)
     with pytest.raises(ValueError, match="differs from the delay table's grid"):
         reconstruct_envelope_from_delays(frame, delays, deeper, BeamformerKind.DAS)
+
+
+# Both band-pass rules fail before any beamforming: 70 rows over 30 mm sample
+# the line at 1.8 MHz, far below twice the 7.5 MHz band edge; 40 rows over
+# 0.2 mm sample it finely but are fewer than the 63 filter taps.
+@pytest.mark.parametrize("z_max,nz,message", [
+    (60e-3, 70, "reaches the Nyquist limit"),
+    (30.2e-3, 40, "fewer axial samples than filter taps"),
+], ids=["nyquist", "length"])
+def test_filter_band_is_checked_before_beamforming(scene, monkeypatch, z_max, nz, message):
+    frame, geom, _ = scene
+    calls = []
+    monkeypatch.setattr(pipeline, "beamform_image", lambda *args: calls.append(args))
+    grid = ImageGrid(x_min=-1e-3, x_max=1e-3, z_min=30e-3, z_max=z_max, nx=5, nz=nz)
+    with pytest.raises(ValueError, match=message):
+        reconstruct_envelope(frame, geom, grid, BeamformerKind.DMAS)
+    assert calls == []

@@ -92,6 +92,11 @@ class TestPhantoms:
         with pytest.raises(ValueError, match="speckle_density must be finite and positive"):
             factory(speckle_density=density)
 
+    @pytest.mark.parametrize("separation", [np.inf, np.nan, 0.0])
+    def test_pair_separation_must_be_finite_and_positive(self, separation):
+        with pytest.raises(ValueError, match="^pair_separation must be finite and positive"):
+            make_wire_phantom(separation)
+
     def test_tumor_phantom_contents(self):
         ph = make_tumor_phantom(seed=3)
         amp = ph.scatterers[:, 2]
@@ -157,6 +162,18 @@ class TestPulse:
         h = pulse_waveform(PulseModel(f0=3e6, cycles=2), FS)
         p = round_trip_pulse(PULSE, FS)
         assert p.size == e.size + 2 * h.size - 2
+
+    @pytest.mark.parametrize("f0", [np.inf, np.nan, 0.0])
+    def test_f0_must_be_finite_and_positive(self, f0):
+        with pytest.raises(ValueError, match="^f0 must be finite and positive"):
+            PulseModel(f0=f0)
+
+    @pytest.mark.parametrize("fs", [np.inf, np.nan])
+    def test_fs_must_be_finite_before_any_synthesis(self, fs):
+        with pytest.raises(ValueError, match="^fs must be finite and positive"):
+            pulse_waveform(PULSE, fs)
+        with pytest.raises(ValueError, match="^fs must be finite and positive"):
+            synthesize_rf(point_phantom(0.0, 10e-3), linear_array(4, 0.3e-3), PULSE, fs)
 
     def test_pulse_validation(self):
         with pytest.raises(ValueError):

@@ -10,10 +10,8 @@ from .beamformers import (
     BeamformerKind,
     OpCount,
     beamform_image,
-    das_pixel,
-    dmas_pixel_fast,
+    beamform_pixel,
     dmas_pixel_naive,
-    dsdmas_pixel,
     op_count,
     stage_one_terms,
 )

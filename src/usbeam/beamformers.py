@@ -85,7 +85,7 @@ def _pair_sum(x: np.ndarray) -> np.ndarray:
 
 
 # One reduction over axis 0 (the elements) per kind, shared by the
-# per-pixel functions and beamform_image, which passes (M, nz) blocks.
+# per-pixel function and beamform_image, which passes (M, nz) blocks.
 _KERNELS = {
     BeamformerKind.DAS: lambda x: np.sum(x, axis=0),
     BeamformerKind.DMAS: _pair_sum,
@@ -102,9 +102,23 @@ def _vector(delayed, kind: BeamformerKind) -> np.ndarray:
     return xd
 
 
-def das_pixel(delayed) -> float:
-    """Sum of the delayed samples across the aperture."""
-    return float(_KERNELS[BeamformerKind.DAS](_vector(delayed, BeamformerKind.DAS)))
+def beamform_pixel(delayed, kind: BeamformerKind) -> float:
+    """One pixel of ``kind`` from its delayed samples, a 1-D vector sized by
+    :func:`op_count`: the same reduction :func:`beamform_image` applies per
+    column. DMAS takes the signed square root once per element and sums the
+    pairs in closed form; it equals :func:`dmas_pixel_naive`. DS-DMAS couples
+    the M samples into the M-1 :func:`stage_one_terms` and sums their pairs
+    in the same closed form.
+
+    Conditioning: a DS-DMAS stage-one term that cancels to rounding noise
+    (about 1e-15 of its pair terms) passes through the second square root as
+    the root of that noise. Two algebraically equal evaluations, such as this
+    kernel and the literal pair expansion, then agree to 1e-9 of the
+    absolute pair terms only away from such terms; on
+    [100, 12, 26, -(sqrt(12) + sqrt(26))**2] they differ by 7.5 times that
+    scale.
+    """
+    return float(_KERNELS[kind](_vector(delayed, kind)))
 
 
 def dmas_pixel_naive(delayed) -> float:
@@ -113,7 +127,7 @@ def dmas_pixel_naive(delayed) -> float:
     Every element pair (i, j) with i < j contributes
     sign(xi * xj) * sqrt(|xi * xj|); the pairs accumulate in index order.
     Quadratic in the aperture size — kept as the reference evaluation the
-    fast form is checked against.
+    closed form of :func:`beamform_pixel` is checked against.
     """
     xs = _vector(delayed, BeamformerKind.DMAS).tolist()
     total = 0.0
@@ -128,18 +142,6 @@ def dmas_pixel_naive(delayed) -> float:
     return total
 
 
-def dmas_pixel_fast(delayed) -> float:
-    """Pairwise-product beamformer via per-element signed square roots.
-
-    Takes the signed square root once per element and sums the products of
-    the transformed samples over all pairs in closed form, which reduces
-    the sign/abs/sqrt work from one per pair to one per element and the
-    pair products to two sums while computing the same value as
-    :func:`dmas_pixel_naive`.
-    """
-    return float(_KERNELS[BeamformerKind.DMAS](_vector(delayed, BeamformerKind.DMAS)))
-
-
 def stage_one_terms(delayed) -> np.ndarray:
     """First-stage coupling terms of the double-stage beamformer.
 
@@ -149,25 +151,6 @@ def stage_one_terms(delayed) -> np.ndarray:
     terms.
     """
     return _couple(_vector(delayed, BeamformerKind.DSDMAS))
-
-
-def dsdmas_pixel(delayed) -> float:
-    """Double-stage pairwise-product beamformer.
-
-    Runs the signed-sqrt pair coupling twice: the first pass turns the M
-    delayed samples into M-1 stage terms, the second pass couples the
-    signed square roots of those terms over all their pairs, summed in
-    the same closed form as DMAS.
-
-    Conditioning: a stage-one term that cancels to rounding noise (about
-    1e-15 of its pair terms) passes through the second square root as the
-    root of that noise. Two algebraically equal evaluations, such as this
-    kernel and the literal pair expansion, then agree to 1e-9 of the
-    absolute pair terms only away from such terms; on
-    [100, 12, 26, -(sqrt(12) + sqrt(26))**2] they differ by 7.5 times that
-    scale.
-    """
-    return float(_KERNELS[BeamformerKind.DSDMAS](_vector(delayed, BeamformerKind.DSDMAS)))
 
 
 def beamform_image(frame: RfFrame, delays: DelayTable, kind: BeamformerKind):

@@ -192,8 +192,7 @@ def _metrics_rows(env: np.ndarray, grid: ImageGrid, lines) -> list[str]:
                     RegionSpec.disc(bck_x, depth, bck_r),
                     grid,
                 )
-                rows.append(f"{vals[0]:.3f},cr_db,{value:.6f}" if np.isfinite(value)
-                            else f"{vals[0]:.3f},cr_db,-inf")
+                rows.append(f"{vals[0]:.3f},cr_db,{value:.6f}")
             else:
                 raise ValueError(f"unknown metric row {kind!r} or wrong field count")
         except ValueError as exc:

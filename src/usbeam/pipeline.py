@@ -23,12 +23,13 @@ def default_filter(kind: BeamformerKind, f0: float, taps: int = 63,
 
     The pairwise-product beamformers shift the signal band to twice the
     center frequency, so their filter sits at 2 f0; plain DAS keeps the
-    fundamental and is filtered at f0 for a comparable envelope. Passband
-    half-width defaults to f0 / 2.
+    fundamental and is filtered at f0 for a comparable envelope; that is
+    the center ``center=None`` selects. Passband half-width defaults to
+    f0 / 2.
     """
     if half_bandwidth is None:
         half_bandwidth = 0.5 * f0
-    if not center:
+    if center is None:
         center = f0 if kind is BeamformerKind.DAS else 2.0 * f0
     return FilterSpec(center=center, half_bandwidth=half_bandwidth, taps=taps)
 

@@ -30,7 +30,7 @@ class PulseModel:
 @dataclass(frozen=True)
 class NoiseSpec:
     """White-noise target: SNR in dB against the frame's signal power,
-    reproducible under a fixed seed."""
+    reproducible under a fixed non-negative integer seed."""
 
     target_snr_db: float
     seed: int = 0
@@ -38,6 +38,12 @@ class NoiseSpec:
     def __post_init__(self):
         if not self.target_snr_db > -math.inf:
             raise ValueError(f"target_snr_db must be a number above -inf, got {self.target_snr_db!r}")
+        _require_seed(self.seed)
+
+
+def _require_seed(seed) -> None:
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -139,6 +145,7 @@ def _cyst_centers():
 def _speckle(seed: int, speckle_density: float, x_bounds, z_bounds):
     """Uniformly placed speckle scatterers in a box, amplitudes uniform on
     [-1, 1]: returns (x, z, amplitude) arrays, drawn in that order."""
+    _require_seed(seed)
     _require_finite_positive("speckle_density", speckle_density)
     rng = np.random.default_rng(seed)
     (x_lo, x_hi), (z_lo, z_hi) = x_bounds, z_bounds

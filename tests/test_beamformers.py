@@ -13,12 +13,10 @@ from usbeam import (
     DelayTable,
     RfFrame,
     beamform_image,
+    beamform_pixel,
     beamformers,
     compute_delays,
-    das_pixel,
-    dmas_pixel_fast,
     dmas_pixel_naive,
-    dsdmas_pixel,
     fetch_delayed,
     linear_array,
     op_count,
@@ -106,7 +104,7 @@ class TestKernelProperties:
     @given(apertures)
     @example(DOMINANT_ELEMENT)
     def test_fast_dmas_matches_naive(self, xd):
-        assert abs(dmas_pixel_fast(xd) - dmas_pixel_naive(xd)) <= 1e-9 * abs_pair_sum(xd)
+        assert abs(beamform_pixel(xd, BeamformerKind.DMAS) - dmas_pixel_naive(xd)) <= 1e-9 * abs_pair_sum(xd)
 
     @property_settings
     @given(apertures)
@@ -119,32 +117,32 @@ class TestKernelProperties:
     @example(CANCELLING_TERM)
     @example(DOMINANT_ELEMENT)
     def test_dsdmas_matches_expansion_oracle(self, xd):
-        assert abs(dsdmas_pixel(xd) - dsdmas_expansion_oracle(xd)) <= dsdmas_tolerance(xd)
+        assert abs(beamform_pixel(xd, BeamformerKind.DSDMAS) - dsdmas_expansion_oracle(xd)) <= dsdmas_tolerance(xd)
 
 
 class TestDas:
     def test_zeros(self):
-        assert das_pixel(np.zeros(8)) == 0.0
+        assert beamform_pixel(np.zeros(8), BeamformerKind.DAS) == 0.0
 
     def test_constant_vector(self):
-        assert das_pixel(np.full(5, 1.75)) == pytest.approx(5 * 1.75, rel=1e-15)
+        assert beamform_pixel(np.full(5, 1.75), BeamformerKind.DAS) == pytest.approx(5 * 1.75, rel=1e-15)
 
     def test_matches_shuffled_summation_oracle(self):
         rng = np.random.default_rng(11)
         xd = rng.uniform(-1, 1, 16)
         perm = rng.permutation(16)
         oracle = sum(float(xd[k]) for k in perm)
-        assert das_pixel(xd) == pytest.approx(oracle, rel=1e-12)
+        assert beamform_pixel(xd, BeamformerKind.DAS) == pytest.approx(oracle, rel=1e-12)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            das_pixel(np.array([]))
+            beamform_pixel(np.array([]), BeamformerKind.DAS)
 
 
 class TestDmas:
     def test_two_element_positive(self):
         assert dmas_pixel_naive(np.array([4.0, 9.0])) == pytest.approx(6.0)
-        assert dmas_pixel_fast(np.array([4.0, 9.0])) == pytest.approx(6.0)
+        assert beamform_pixel(np.array([4.0, 9.0]), BeamformerKind.DMAS) == pytest.approx(6.0)
 
     def test_two_element_negative(self):
         assert dmas_pixel_naive(np.array([4.0, -9.0])) == pytest.approx(-6.0)
@@ -156,13 +154,13 @@ class TestDmas:
     def test_single_nonzero_entry_gives_zero(self):
         xd = np.zeros(9)
         xd[4] = 3.7
-        assert dmas_pixel_fast(xd) == 0.0
+        assert beamform_pixel(xd, BeamformerKind.DMAS) == 0.0
 
     def test_all_negative_inputs_give_positive_output(self):
         rng = np.random.default_rng(2)
         xd = -np.abs(rng.uniform(0.1, 2.0, 12))
         assert dmas_pixel_naive(xd) > 0
-        assert dmas_pixel_fast(xd) > 0
+        assert beamform_pixel(xd, BeamformerKind.DMAS) > 0
 
     def test_fast_matches_naive(self):
         rng = np.random.default_rng(1)
@@ -170,22 +168,22 @@ class TestDmas:
             for _ in range(10):
                 xd = rng.uniform(-1, 1, m)
                 naive = dmas_pixel_naive(xd)
-                fast = dmas_pixel_fast(xd)
+                fast = beamform_pixel(xd, BeamformerKind.DMAS)
                 assert abs(fast - naive) <= 1e-9 * (1 + abs(naive))
 
     def test_scale_covariance_nonnegative_alpha(self):
         rng = np.random.default_rng(9)
         xd = rng.uniform(-1, 1, 10)
         for alpha in rng.uniform(0, 10, 5):
-            assert dmas_pixel_fast(alpha * xd) == pytest.approx(
-                alpha * dmas_pixel_fast(xd), rel=1e-9, abs=1e-12
+            assert beamform_pixel(alpha * xd, BeamformerKind.DMAS) == pytest.approx(
+                alpha * beamform_pixel(xd, BeamformerKind.DMAS), rel=1e-9, abs=1e-12
             )
 
     def test_rejects_single_element(self):
         with pytest.raises(ValueError):
             dmas_pixel_naive(np.array([1.0]))
         with pytest.raises(ValueError):
-            dmas_pixel_fast(np.array([1.0]))
+            beamform_pixel(np.array([1.0]), BeamformerKind.DMAS)
 
 
 class TestStageOne:
@@ -212,10 +210,10 @@ class TestStageOne:
 class TestDsdmas:
     def test_unit_three_element(self):
         # terms (2, 1) -> signed sqrts (sqrt(2), 1) -> single pair product
-        assert dsdmas_pixel(np.ones(3)) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        assert beamform_pixel(np.ones(3), BeamformerKind.DSDMAS) == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
     def test_zeros(self):
-        assert dsdmas_pixel(np.zeros(5)) == 0.0
+        assert beamform_pixel(np.zeros(5), BeamformerKind.DSDMAS) == 0.0
 
     def test_matches_expansion_oracle(self):
         rng = np.random.default_rng(6)
@@ -223,19 +221,19 @@ class TestDsdmas:
             for _ in range(10):
                 xd = rng.uniform(-1, 1, m)
                 oracle = dsdmas_expansion_oracle(xd)
-                assert abs(dsdmas_pixel(xd) - oracle) <= 1e-9 * (1 + abs(oracle))
+                assert abs(beamform_pixel(xd, BeamformerKind.DSDMAS) - oracle) <= 1e-9 * (1 + abs(oracle))
 
     def test_scale_covariance_nonnegative_alpha(self):
         rng = np.random.default_rng(8)
         xd = rng.uniform(-1, 1, 9)
         for alpha in rng.uniform(0, 10, 5):
-            assert dsdmas_pixel(alpha * xd) == pytest.approx(
-                alpha * dsdmas_pixel(xd), rel=1e-9, abs=1e-12
+            assert beamform_pixel(alpha * xd, BeamformerKind.DSDMAS) == pytest.approx(
+                alpha * beamform_pixel(xd, BeamformerKind.DSDMAS), rel=1e-9, abs=1e-12
             )
 
     def test_rejects_two_elements(self):
         with pytest.raises(ValueError):
-            dsdmas_pixel(np.array([1.0, 2.0]))
+            beamform_pixel(np.array([1.0, 2.0]), BeamformerKind.DSDMAS)
 
 
 class TestOpCount:
@@ -261,21 +259,26 @@ class TestOpCount:
         with pytest.raises(ValueError):
             op_count(BeamformerKind.DSDMAS, 2)
 
-    @pytest.mark.parametrize(
-        "pixel_fn,kind,size",
-        [
-            (das_pixel, BeamformerKind.DAS, 0),
-            (dmas_pixel_naive, BeamformerKind.DMAS, 1),
-            (dmas_pixel_fast, BeamformerKind.DMAS, 1),
-            (stage_one_terms, BeamformerKind.DSDMAS, 2),
-            (dsdmas_pixel, BeamformerKind.DSDMAS, 2),
-        ],
-    )
-    def test_too_short_vectors_raise_the_op_count_message(self, pixel_fn, kind, size):
+    @staticmethod
+    def op_count_message(kind, size):
         with pytest.raises(ValueError) as stated:
             op_count(kind, size)
-        with pytest.raises(ValueError, match=f"^{re.escape(str(stated.value))}$"):
-            pixel_fn(np.ones(size))
+        return f"^{re.escape(str(stated.value))}$"
+
+    @pytest.mark.parametrize(
+        "kind,size", [(BeamformerKind.DAS, 0), (BeamformerKind.DMAS, 1), (BeamformerKind.DSDMAS, 2)]
+    )
+    def test_too_short_vectors_raise_the_op_count_message(self, kind, size):
+        with pytest.raises(ValueError, match=self.op_count_message(kind, size)):
+            beamform_pixel(np.ones(size), kind)
+
+    @pytest.mark.parametrize(
+        "reference_fn,kind,size",
+        [(dmas_pixel_naive, BeamformerKind.DMAS, 1), (stage_one_terms, BeamformerKind.DSDMAS, 2)],
+    )
+    def test_too_short_vectors_raise_the_op_count_message_in_references(self, reference_fn, kind, size):
+        with pytest.raises(ValueError, match=self.op_count_message(kind, size)):
+            reference_fn(np.ones(size))
 
 
 class TestBeamformImage:
@@ -288,15 +291,8 @@ class TestBeamformImage:
         delays = compute_delays(geom, grid, frame.fs)
         return frame, delays
 
-    @pytest.mark.parametrize(
-        "kind,pixel_fn",
-        [
-            (BeamformerKind.DAS, das_pixel),
-            (BeamformerKind.DMAS, dmas_pixel_fast),
-            (BeamformerKind.DSDMAS, dsdmas_pixel),
-        ],
-    )
-    def test_matches_per_pixel_kernels(self, scene, kind, pixel_fn):
+    @pytest.mark.parametrize("kind", list(BeamformerKind))
+    def test_matches_per_pixel_kernels(self, scene, kind):
         frame, delays = scene
         image, ops = beamform_image(frame, delays, kind)
         nz, nx, _ = delays.values.shape
@@ -305,7 +301,7 @@ class TestBeamformImage:
         for i in range(nz):
             for j in range(nx):
                 xd = fetch_delayed(frame, delays.values[i, j])
-                expected = pixel_fn(xd)
+                expected = beamform_pixel(xd, kind)
                 assert image[i, j] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_never_builds_the_full_table(self, scene, monkeypatch):

@@ -73,6 +73,19 @@ class TestSimulate:
         assert calls == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--phantom", "wires", "--seed", "-1"],
+        ["--phantom", "cysts", "--speckle-seed", "-1"],
+    ], ids=["seed", "speckle_seed"])
+    def test_negative_seed_is_named_before_synthesis(self, argv, monkeypatch, tmp_path, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "synthesize_rf", lambda *args: calls.append(args))
+        out = tmp_path / "x.urf"
+        assert run(["simulate", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: seed must be a non-negative integer, got -1")
+        assert calls == []
+        assert not out.exists()
+
     # a value only another phantom reads is not checked
     @pytest.mark.parametrize("argv", [
         ["--phantom", "wires", "--speckle-density", "0"],

@@ -7,6 +7,7 @@ from usbeam import (
     Phantom,
     PulseModel,
     compute_delays,
+    default_filter,
     linear_array,
     pipeline,
     reconstruct_envelope,
@@ -57,3 +58,11 @@ def test_filter_band_is_checked_before_beamforming(scene, monkeypatch, z_max, nz
     with pytest.raises(ValueError, match=message):
         reconstruct_envelope(frame, geom, grid, BeamformerKind.DMAS)
     assert calls == []
+
+
+# The "0 means auto" filter center is a CLI convention; the library selects
+# the kind's band center only for center=None.
+@pytest.mark.parametrize("kind", list(BeamformerKind))
+def test_default_filter_rejects_a_zero_center(kind):
+    with pytest.raises(ValueError, match="^center must be finite and positive, got 0.0$"):
+        default_filter(kind, 3e6, center=0.0)

@@ -92,6 +92,11 @@ class TestPhantoms:
         with pytest.raises(ValueError, match="speckle_density must be finite and positive"):
             factory(speckle_density=density)
 
+    @pytest.mark.parametrize("factory", [make_cyst_phantom, make_tumor_phantom])
+    def test_negative_speckle_seed_is_named(self, factory):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+            factory(seed=-1)
+
     @pytest.mark.parametrize("separation", [np.inf, np.nan, 0.0])
     def test_pair_separation_must_be_finite_and_positive(self, separation):
         with pytest.raises(ValueError, match="^pair_separation must be finite and positive"):
@@ -294,6 +299,10 @@ class TestNoise:
     def test_spec_rejects_nan_and_minus_infinity(self, target):
         with pytest.raises(ValueError, match="target_snr_db"):
             NoiseSpec(target_snr_db=target)
+
+    def test_spec_rejects_a_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+            NoiseSpec(target_snr_db=10.0, seed=-1)
 
     @pytest.mark.parametrize("target", [-4000.0, -3100.0])
     def test_target_too_low_for_a_finite_variance_is_named(self, frame, target):

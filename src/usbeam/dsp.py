@@ -92,19 +92,22 @@ def bandpass(signal, spec: FilterSpec, fs: float) -> np.ndarray:
     return bandpass_image(x[:, None], spec, fs)[:, 0]
 
 
-def bandpass_image(image, spec: FilterSpec, axial_rate: float) -> np.ndarray:
+def bandpass_image(image, spec: FilterSpec, axial_rate: float, out=None) -> np.ndarray:
     """Filter every image column (one reconstructed line) along depth.
 
     axial_rate is the line's equivalent sampling rate in Hz: c / (2 dz)
-    for a grid with axial pixel spacing dz.
+    for a grid with axial pixel spacing dz. A given ``out`` (see
+    :func:`_require_out`) receives the result and is returned; it may be the
+    image itself, because each column is copied into its edge-padded line
+    before it is written back.
     """
     img = np.asarray(image, dtype=float)
     if img.ndim != 2:
         raise ValueError("image must be 2-D")
     spec.validate_line(img.shape[0], axial_rate)
+    out = np.empty_like(img) if out is None else _require_out(out, img)
     h = design_bandpass(spec, axial_rate)
     mid = (h.size - 1) // 2
-    out = np.empty_like(img)
 
     def fill(columns) -> None:
         for j in columns:
@@ -133,14 +136,16 @@ def envelope(signal) -> np.ndarray:
     return envelope_image(x[:, None])[:, 0]
 
 
-def envelope_image(image) -> np.ndarray:
+def envelope_image(image, out=None) -> np.ndarray:
     """Per-column envelope along the axial axis.
 
     The columns are transformed in blocks of ``_ENVELOPE_BLOCK``, split over
     the CPUs the process may use, so the complex work arrays are one block
     wide rather than one image wide. Each column's transform is the same
     whatever the block it falls in, so the output does not depend on the
-    blocking or the thread count.
+    blocking or the thread count. A given ``out`` (see :func:`_require_out`)
+    receives the result and is returned; it may be the image itself,
+    because each block is transformed before its result is assigned.
     """
     img = np.asarray(image, dtype=float)
     if img.ndim != 2:
@@ -152,7 +157,7 @@ def envelope_image(image) -> np.ndarray:
     weights = np.zeros(nfft)
     weights[0] = weights[nfft // 2] = 1.0
     weights[1 : nfft // 2] = 2.0
-    out = np.empty((nz, nx))
+    out = np.empty((nz, nx)) if out is None else _require_out(out, img)
 
     def fill(blocks) -> None:
         for b in blocks:
@@ -160,6 +165,20 @@ def envelope_image(image) -> np.ndarray:
             out[:, cols] = _block_envelope(img[:, cols], weights)
 
     distribute(-(-nx // _ENVELOPE_BLOCK), fill)
+    return out
+
+
+def _require_out(out, img: np.ndarray) -> np.ndarray:
+    """Check an ``out`` argument of the per-column stages: a writeable
+    float64 array of the image's shape that is either the image itself or
+    shares no memory with it (a partly overlapping one would be read after
+    it was written)."""
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == img.shape):
+        raise ValueError(f"out must be a float64 array of shape {img.shape}")
+    if not out.flags.writeable:
+        raise ValueError("out must be writeable")
+    if np.may_share_memory(out, img) and (out.ctypes.data, out.strides) != (img.ctypes.data, img.strides):
+        raise ValueError("out must be the image itself or share no memory with it")
     return out
 
 

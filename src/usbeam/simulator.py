@@ -283,6 +283,7 @@ def synthesize_rf(
             flat = (chan_base + k0).ravel()
             train += np.bincount(flat, weights=(weight * (1.0 - frac)).ravel(), minlength=train.size)
             train += np.bincount(flat - 1, weights=(weight * frac).ravel(), minlength=train.size)
+        del chunk, sx, sz, r, arrival, k0, frac, weight, flat  # freed before the convolutions
         for i, row in zip(channels, train.reshape(len(channels), k_count)):
             samples[i] = np.convolve(row, p)[:k_count]
 

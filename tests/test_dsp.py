@@ -26,6 +26,21 @@ def whole_image_envelope(img):
     return np.abs(analytic[: img.shape[0], :])
 
 
+def apply(stage, img, in_place, *args):
+    """Run a per-column stage allocating, checking that it leaves its input
+    untouched, or with ``out=img``, checking that it returns that buffer."""
+    before = img.copy()
+    out = stage(img, *args, out=img if in_place else None)
+    if in_place:
+        assert out is img
+    else:
+        assert np.array_equal(img, before)
+    return out
+
+
+IN_PLACE = pytest.mark.parametrize("in_place", [False, True], ids=["allocating", "in_place"])
+
+
 class TestFilterSpec:
     def test_rejects_even_taps(self):
         with pytest.raises(ValueError):
@@ -92,19 +107,22 @@ class TestBandpass:
         with pytest.raises(ValueError):
             bandpass(np.zeros(SPEC.taps), SPEC, FS)
 
-    def test_image_filtering_matches_per_column(self):
+    @IN_PLACE
+    def test_image_filtering_matches_per_column(self, in_place):
         rng = np.random.default_rng(2)
         img = rng.normal(size=(300, 4))
-        out = bandpass_image(img, SPEC, FS)
+        columns = [bandpass(img[:, j], SPEC, FS) for j in range(4)]
+        out = apply(bandpass_image, img, in_place, SPEC, FS)
         for j in range(4):
-            assert np.array_equal(out[:, j], bandpass(img[:, j], SPEC, FS))
+            assert np.array_equal(out[:, j], columns[j])
 
-    def test_output_does_not_depend_on_worker_count(self, cpus):
+    @IN_PLACE
+    def test_output_does_not_depend_on_worker_count(self, cpus, in_place):
         img = np.random.default_rng(6).normal(size=(300, 7))
         cpus(1)
         serial = bandpass_image(img, SPEC, FS)
         cpus(64)
-        assert np.array_equal(bandpass_image(img, SPEC, FS), serial)
+        assert np.array_equal(apply(bandpass_image, img, in_place, SPEC, FS), serial)
 
 
 class TestEnvelope:
@@ -131,25 +149,30 @@ class TestEnvelope:
         with pytest.raises(ValueError):
             envelope(np.zeros(3))
 
-    def test_image_envelope_matches_per_column(self):
+    @IN_PLACE
+    def test_image_envelope_matches_per_column(self, in_place):
         rng = np.random.default_rng(3)
         img = rng.normal(size=(512, 3))
-        out = envelope_image(img)
+        columns = [envelope(img[:, j]) for j in range(3)]
+        out = apply(envelope_image, img, in_place)
         for j in range(3):
-            assert np.allclose(out[:, j], envelope(img[:, j]), rtol=1e-12, atol=1e-12)
+            assert np.allclose(out[:, j], columns[j], rtol=1e-12, atol=1e-12)
 
     # two full column blocks and a ragged one, and a single column
+    @IN_PLACE
     @pytest.mark.parametrize("nx", [2 * _ENVELOPE_BLOCK + 3, 1])
-    def test_blocks_match_whole_image_transform(self, nx):
+    def test_blocks_match_whole_image_transform(self, nx, in_place):
         img = np.random.default_rng(7).normal(size=(300, nx))
-        assert np.array_equal(envelope_image(img), whole_image_envelope(img))
+        expected = whole_image_envelope(img)
+        assert np.array_equal(apply(envelope_image, img, in_place), expected)
 
-    def test_output_does_not_depend_on_worker_count(self, cpus):
+    @IN_PLACE
+    def test_output_does_not_depend_on_worker_count(self, cpus, in_place):
         img = np.random.default_rng(8).normal(size=(300, 2 * _ENVELOPE_BLOCK + 3))
         cpus(1)
         serial = envelope_image(img)
         cpus(64)
-        assert np.array_equal(envelope_image(img), serial)
+        assert np.array_equal(apply(envelope_image, img, in_place), serial)
 
     def test_work_arrays_are_narrower_than_the_image(self, cpus):
         cpus(2)
@@ -162,6 +185,36 @@ class TestEnvelope:
             tracemalloc.stop()
         # one image-wide complex spectrum; the output alone is half of it
         assert peak < 1024 * 512 * 16
+
+
+STAGES = {
+    "bandpass_image": lambda img, out: bandpass_image(img, SPEC, FS, out=out),
+    "envelope_image": lambda img, out: envelope_image(img, out=out),
+}
+
+
+def read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+# Each bad out is built from a (300, 8) array whose first 7 columns are the
+# image.
+@pytest.mark.parametrize("stage", STAGES.values(), ids=STAGES.keys())
+@pytest.mark.parametrize("make_out,message", [
+    (lambda big: np.empty((300, 8)), r"^out must be a float64 array of shape \(300, 7\)$"),
+    (lambda big: np.empty((300, 7), dtype=np.float32), "^out must be a float64 array"),
+    (lambda big: [[0.0] * 7] * 300, "^out must be a float64 array"),
+    (lambda big: read_only(np.empty((300, 7))), "^out must be writeable$"),
+    (lambda big: big[:, 1:], "^out must be the image itself or share no memory with it$"),
+], ids=["shape", "dtype", "list", "read_only", "overlapping"])
+def test_rejects_a_bad_out(stage, make_out, message):
+    big = np.random.default_rng(10).normal(size=(300, 8))
+    image = big[:, :7]
+    before = big.copy()
+    with pytest.raises(ValueError, match=message):
+        stage(image, make_out(big))
+    assert np.array_equal(big, before)
 
 
 class TestLogCompress:

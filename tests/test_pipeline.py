@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -66,3 +68,46 @@ def test_filter_band_is_checked_before_beamforming(scene, monkeypatch, z_max, nz
 def test_default_filter_rejects_a_zero_center(kind):
     with pytest.raises(ValueError, match="^center must be finite and positive, got 0.0$"):
         default_filter(kind, 3e6, center=0.0)
+
+
+# The benchmark's traced run times the band-pass and the envelope by
+# replacing these two pipeline attributes, so the reconstruction must reach
+# both stages through them.
+@pytest.mark.parametrize("kind", list(BeamformerKind))
+def test_reconstruction_calls_each_post_stage_once_through_the_pipeline_module(scene, monkeypatch, kind):
+    frame, geom, grid = scene
+    calls = {"bandpass_image": 0, "envelope_image": 0}
+
+    def counting(name):
+        stage = getattr(pipeline, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return stage(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(pipeline, name, counting(name))
+    reconstruct_envelope(frame, geom, grid, kind)
+    assert calls == {"bandpass_image": 1, "envelope_image": 1}
+
+
+def test_reconstruction_holds_one_image(cpus):
+    # Four elements and a 512 x 512 grid: each column's (M, nz) work arrays
+    # are small next to the 2 MB image, so a second image-sized buffer alive
+    # at once shows in the peak.
+    cpus(2)
+    geom = linear_array(4, 0.3e-3)
+    phantom = Phantom(np.array([[0.0, 40e-3, 1.0]]), x_bounds=(0.0, 0.0), z_bounds=(40e-3, 40e-3))
+    frame = synthesize_rf(phantom, geom, PulseModel(f0=3e6), FS)
+    grid = ImageGrid(x_min=-2e-3, x_max=2e-3, z_min=30e-3, z_max=50e-3, nx=512, nz=512)
+    delays = compute_delays(geom, grid, FS)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        env, _ = reconstruct_envelope_from_delays(frame, delays, grid, BeamformerKind.DAS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - entry) / env.nbytes <= 2.0

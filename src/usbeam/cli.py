@@ -18,7 +18,7 @@ from .beamformers import BeamformerKind
 from .config import RunConfig, apply_overrides, load_config
 from .dsp import log_compress
 from .geometry import ImageGrid, linear_array
-from .metrics import LateralProfile, RegionSpec, cr, fwhm, lateral_profile, snr_region
+from .metrics import LateralProfile, RegionSpec, cr, fwhm, lateral_profile, sidelobe_level, snr_region
 from .pipeline import default_filter, reconstruct_envelope
 from .simulator import (
     NoiseSpec,
@@ -157,6 +157,24 @@ def cmd_render(args) -> int:
     return 0
 
 
+def _windowed_profile(db_image, depth, center_x, half_window, grid: ImageGrid) -> LateralProfile:
+    """The lateral profile at a depth, cut to |x - center_x| <= half_window
+    and renormalized to 0 dB max."""
+    profile = lateral_profile(db_image, depth, grid)
+    keep = np.abs(profile.x - center_x) <= half_window
+    if not np.any(keep):
+        raise ValueError("profile window contains no pixels")
+    return LateralProfile(
+        depth=profile.depth,
+        x=profile.x[keep],
+        value_db=profile.value_db[keep] - profile.value_db[keep].max(),
+        depth_offset=profile.depth_offset,
+    )
+
+
+_PROFILE_METRICS = {"fwhm": ("fwhm_mm", fwhm), "sidelobe": ("sidelobe_db", sidelobe_level)}
+
+
 def _metrics_rows(env: np.ndarray, grid: ImageGrid, lines) -> list[str]:
     rows = []
     db_image = None
@@ -169,21 +187,12 @@ def _metrics_rows(env: np.ndarray, grid: ImageGrid, lines) -> list[str]:
                 region = RegionSpec.rect(center_x, depth, half_x, half_z)
                 value = snr_region(env, region, grid)
                 rows.append(f"{vals[0]:.3f},snr_db,{value:.6f}")
-            elif kind == "fwhm" and len(vals) == 3:
-                depth, center_x, half_window = (v * 1e-3 for v in vals)
+            elif kind in _PROFILE_METRICS and len(vals) == 3:
                 if db_image is None:
                     db_image = log_compress(env, _METRICS_DB_RANGE)
-                profile = lateral_profile(db_image, depth, grid)
-                keep = np.abs(profile.x - center_x) <= half_window
-                if not np.any(keep):
-                    raise ValueError("profile window contains no pixels")
-                windowed = LateralProfile(
-                    depth=profile.depth,
-                    x=profile.x[keep],
-                    value_db=profile.value_db[keep] - profile.value_db[keep].max(),
-                    depth_offset=profile.depth_offset,
-                )
-                rows.append(f"{vals[0]:.3f},fwhm_mm,{fwhm(windowed):.6f}")
+                name, metric = _PROFILE_METRICS[kind]
+                value = metric(_windowed_profile(db_image, *(v * 1e-3 for v in vals), grid))
+                rows.append(f"{vals[0]:.3f},{name},{value:.6f}")
             elif kind == "cr" and len(vals) == 5:
                 depth, cyst_x, cyst_r, bck_x, bck_r = (v * 1e-3 for v in vals)
                 value = cr(
@@ -281,11 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     ren.add_argument("--out", required=True, help="output PGM path")
     ren.set_defaults(func=cmd_render)
 
-    met = sub.add_parser("metrics", help="evaluate SNR / FWHM / CR over configured regions")
+    met = sub.add_parser("metrics", help="evaluate SNR / FWHM / sidelobe / CR over configured regions")
     met.add_argument("image_path")
     met.add_argument("--regions", required=True,
                      help="region file: snr,depth,x,hx,hz | fwhm,depth,x,window | "
-                          "cr,depth,cx,cr,bx,br (all mm)")
+                          "sidelobe,depth,x,window | cr,depth,cx,cr,bx,br (all mm)")
     met.add_argument("--out", help="also write the CSV report here")
     met.set_defaults(func=cmd_metrics)
 

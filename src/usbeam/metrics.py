@@ -123,6 +123,27 @@ def _crossing(x0, a0, x1, a1, level):
     return x0 + (x1 - x0) * (level - a0) / (a1 - a0)
 
 
+def _mainlobe(profile: LateralProfile):
+    """The profile's amplitude, its peak index, and the first sample below
+    half the peak amplitude (-6.02 dB) on each side of the peak.
+
+    The peak must not sit on either profile boundary and both samples must
+    exist, else the mainlobe is truncated and ``ValueError`` is raised.
+    """
+    amp = 10.0 ** (np.asarray(profile.value_db, dtype=float) / 20.0)
+    if amp.size < 3:
+        raise ValueError("profile too short")
+    peak = int(np.argmax(amp))
+    if peak == 0 or peak == amp.size - 1:
+        raise ValueError("profile peak sits on the boundary; mainlobe truncated")
+    below = amp < 0.5 * amp[peak]
+    left = np.flatnonzero(below[:peak])
+    right = np.flatnonzero(below[peak + 1 :])
+    if left.size == 0 or right.size == 0:
+        raise ValueError("no half-maximum crossing on one side; mainlobe truncated")
+    return amp, peak, int(left[-1]), peak + 1 + int(right[0])
+
+
 def fwhm(profile: LateralProfile) -> float:
     """Full width at half maximum of the profile's mainlobe, in mm.
 
@@ -131,62 +152,30 @@ def fwhm(profile: LateralProfile) -> float:
     amplitude between samples. The peak must not sit on either profile
     boundary and both crossings must exist.
     """
-    amp = 10.0 ** (np.asarray(profile.value_db, dtype=float) / 20.0)
-    if amp.size < 3:
-        raise ValueError("profile too short")
-    peak = int(np.argmax(amp))
-    if peak == 0 or peak == amp.size - 1:
-        raise ValueError("profile peak sits on the boundary; mainlobe truncated")
+    amp, peak, lo, hi = _mainlobe(profile)
     half = 0.5 * amp[peak]
     x = np.asarray(profile.x, dtype=float)
-
-    left = None
-    for k in range(peak - 1, -1, -1):
-        if amp[k] < half:
-            left = _crossing(x[k], amp[k], x[k + 1], amp[k + 1], half)
-            break
-    right = None
-    for k in range(peak + 1, amp.size):
-        if amp[k] < half:
-            right = _crossing(x[k - 1], amp[k - 1], x[k], amp[k], half)
-            break
-    if left is None or right is None:
-        raise ValueError("no half-maximum crossing on one side; mainlobe truncated")
+    left = _crossing(x[lo], amp[lo], x[lo + 1], amp[lo + 1], half)
+    right = _crossing(x[hi - 1], amp[hi - 1], x[hi], amp[hi], half)
     return float((right - left) * 1e3)
 
 
-def _smooth3(v: np.ndarray) -> np.ndarray:
-    padded = np.pad(v, 1, mode="edge")
-    return (padded[:-2] + padded[1:-1] + padded[2:]) / 3.0
-
-
 def sidelobe_level(profile: LateralProfile) -> float:
-    """Peak profile value outside the mainlobe, in dB relative to the peak.
+    """Highest profile value outside the mainlobe, in dB relative to the peak.
 
-    The mainlobe region is bounded by the first local minima flanking the
-    global peak, found on a 3-sample moving average of the profile so that
-    noise-induced micro-minima do not end the mainlobe early. Returns -inf
-    when no sample lies outside the mainlobe (single-lobe profile).
+    The mainlobe runs from the peak past the half-amplitude samples of
+    :func:`fwhm` to the first local minimum on each side, so dips above
+    -6.02 dB (apex texture of the product beamformers) stay inside it. The
+    sidelobe is the highest sample beyond either minimum; -inf when no
+    sample lies there (single-lobe profile). Raises :func:`fwhm`'s errors.
     """
-    fwhm(profile)  # mainlobe must be detectable
+    _amp, peak, lo, hi = _mainlobe(profile)
     v = np.asarray(profile.value_db, dtype=float)
-    s = _smooth3(v)
-    # Walk outward on the smoothed curve from its own maximum; smoothing can
-    # shift the apex a sample off the raw peak, which must not end the walk.
-    peak = int(np.argmax(s))
-
-    lo = peak
-    while lo > 0 and s[lo - 1] <= s[lo]:
+    while lo > 0 and v[lo - 1] <= v[lo]:
         lo -= 1
-    hi = peak
-    while hi < v.size - 1 and s[hi + 1] <= s[hi]:
+    while hi < v.size - 1 and v[hi + 1] <= v[hi]:
         hi += 1
-
-    outside = []
-    if lo > 0:
-        outside.append(np.max(v[:lo]))
-    if hi < v.size - 1:
-        outside.append(np.max(v[hi + 1 :]))
-    if not outside:
+    outside = np.concatenate((v[:lo], v[hi + 1 :]))
+    if outside.size == 0:
         return float("-inf")
-    return float(max(outside) - v.max())
+    return float(outside.max() - v[peak])

@@ -6,7 +6,7 @@ import pytest
 
 from usbeam import ImageGrid, cli, log_compress, pipeline
 from usbeam.containers import read_image, read_rf, write_image
-from usbeam.metrics import RegionSpec, lateral_profile
+from usbeam.metrics import LateralProfile, RegionSpec, lateral_profile, sidelobe_level
 
 
 def run(args):
@@ -259,6 +259,23 @@ class TestMetrics:
         bck = env[RegionSpec.disc(-1.5e-3, 15e-3, 1e-3).mask(grid)]
         oracle = 20 * np.log10(cyst.mean() / bck.mean())
         assert value == pytest.approx(oracle, abs=1e-6)
+
+    def test_sidelobe_matches_library_on_windowed_profile(self, image, tmp_path, capsys):
+        regions = tmp_path / "regions.csv"
+        regions.write_text("sidelobe,15.8,0,3\n")
+        assert run(["metrics", image, "--regions", str(regions)]) == 0
+        depth, name, value = capsys.readouterr().out.splitlines()[1].split(",")
+        assert (depth, name) == ("15.800", "sidelobe_db")
+        env, grid = read_image(image)
+        profile = lateral_profile(log_compress(env, 400.0), 15.8e-3, grid)
+        keep = np.abs(profile.x) <= 3e-3
+        windowed = LateralProfile(
+            depth=profile.depth, x=profile.x[keep],
+            value_db=profile.value_db[keep] - profile.value_db[keep].max(),
+        )
+        oracle = sidelobe_level(windowed)
+        assert float(value) == pytest.approx(oracle, abs=1e-6)
+        assert float(value) < -10.0
 
     def test_empty_cyst_reports_negative_infinity(self, tmp_path, capsys):
         grid = ImageGrid(x_min=-4e-3, x_max=4e-3, z_min=10e-3, z_max=20e-3, nx=33, nz=41)

@@ -230,6 +230,18 @@ class TestSidelobeLevel:
         level = sidelobe_level(profile_from_amplitude(x, np.maximum(amp, 1e-12)))
         assert level == pytest.approx(-26.5, abs=0.5)
 
+    def test_dip_near_the_apex_stays_in_the_mainlobe(self):
+        # a -0.7 dB dip a few samples left of the apex, as on a DMAS wire
+        # row, is mainlobe texture and must not end the mainlobe
+        x = np.linspace(-5e-3, 5e-3, 501)
+        main = np.exp(-(x**2) / (2 * (0.5e-3) ** 2))
+        lobe = 10 ** (-25 / 20) * np.exp(-((x - 2.5e-3) ** 2) / (2 * (0.3e-3) ** 2))
+        amp = main + lobe
+        apex = int(np.argmax(amp))
+        amp[apex - 5 : apex - 2] *= 10 ** (-0.7 / 20)
+        level = sidelobe_level(profile_from_amplitude(x, amp))
+        assert level == pytest.approx(-25.0, abs=0.5)
+
     def test_propagates_fwhm_errors(self):
         x = np.linspace(0, 5e-3, 100)
         amp = np.exp(-x / 1e-3)

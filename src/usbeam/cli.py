@@ -180,8 +180,8 @@ def _metrics_rows(env: np.ndarray, grid: ImageGrid, lines) -> list[str]:
     db_image = None
     for lineno, spec in lines:
         kind = spec[0]
-        vals = [float(v) for v in spec[1:]]
         try:
+            vals = [float(v) for v in spec[1:]]
             if kind == "snr" and len(vals) == 4:
                 depth, center_x, half_x, half_z = (v * 1e-3 for v in vals)
                 region = RegionSpec.rect(center_x, depth, half_x, half_z)

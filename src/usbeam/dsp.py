@@ -11,9 +11,8 @@ from .geometry import _require_finite_positive
 from .workers import distribute
 
 # Image columns per envelope transform. It bounds the complex work arrays to
-# a few (nfft, block) arrays per thread, as simulator._ACCUM_CHUNK bounds the
-# synthesis temporaries, while keeping each FFT call wide enough that its
-# Python overhead stays small.
+# a few (nfft, block) arrays per thread, while keeping each FFT call wide
+# enough that its Python overhead stays small.
 _ENVELOPE_BLOCK = 32
 
 

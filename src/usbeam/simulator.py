@@ -112,11 +112,6 @@ TUMOR_AMPLITUDE_GAIN = 3.0
 TUMOR_WIRE_POSITION = (6e-3, 26e-3)
 TUMOR_WIRE_AMPLITUDE = 8.0
 
-# Scatterers per impulse-accumulation chunk. Fixed so a given scene always
-# sums in the same order, keeping synthesis bit-reproducible; it also bounds
-# the per-pair temporaries to a few (chunk, M) arrays.
-_ACCUM_CHUNK = 2048
-
 
 def make_wire_phantom(pair_separation: float = DEFAULT_PAIR_SEPARATION) -> Phantom:
     """Point-target phantom: wire pairs at six depths plus two single wires."""
@@ -229,11 +224,11 @@ def synthesize_rf(
     k0 - 1, where frac = k0 - a. That equals the pair's linearly
     interpolated pulse w * ((1 - frac) * p[n] + frac * p[n + 1]) at k0 + n
     because p[0] == 0, and k0 - 1 >= 0 because every scatterer lies below
-    the array face. Impulses accumulate in fixed-size scatterer chunks so
-    that a given scene always sums in the same order. The channels are
-    split over the CPUs the process may use; each thread builds and
-    convolves the impulse trains of its own channels, and every sample sums
-    its impulses in the same order whatever the thread count.
+    the array face. Each train sample sums its k0 impulses in scatterer
+    order, then adds the sum of its k0 - 1 impulses in scatterer order. The
+    channels are split over the CPUs the process may use and each thread
+    builds and convolves the trains of its own channels one at a time, so
+    no sample depends on the thread count.
 
     Parameters
     ----------
@@ -265,27 +260,18 @@ def synthesize_rf(
     k_count = int(math.ceil(fs * (z_max + r_bound) / c)) + p.size + 2
 
     samples = np.empty((m, k_count))
+    sx, sz, amp = scatterers.T
 
-    def fill(items) -> None:
-        channels = list(items)
-        own_x = ex[channels]
-        train = np.zeros(len(channels) * k_count)
-        chan_base = np.arange(len(channels)) * k_count
-        for start in range(0, scatterers.shape[0], _ACCUM_CHUNK):
-            chunk = scatterers[start : start + _ACCUM_CHUNK]
-            sx = chunk[:, 0][:, None]
-            sz = chunk[:, 1][:, None]
-            r = np.sqrt((sx - own_x[None, :]) ** 2 + sz**2)
+    def fill(channels) -> None:
+        for i in channels:
+            r = np.sqrt((sx - ex[i]) ** 2 + sz**2)
             arrival = (sz / c + r / c) * fs
             k0 = np.ceil(arrival).astype(np.int64)
             frac = k0 - arrival
-            weight = chunk[:, 2][:, None] / r
-            flat = (chan_base + k0).ravel()
-            train += np.bincount(flat, weights=(weight * (1.0 - frac)).ravel(), minlength=train.size)
-            train += np.bincount(flat - 1, weights=(weight * frac).ravel(), minlength=train.size)
-        del chunk, sx, sz, r, arrival, k0, frac, weight, flat  # freed before the convolutions
-        for i, row in zip(channels, train.reshape(len(channels), k_count)):
-            samples[i] = np.convolve(row, p)[:k_count]
+            w = amp / r
+            train = np.bincount(k0, weights=w * (1.0 - frac), minlength=k_count)
+            train += np.bincount(k0 - 1, weights=w * frac, minlength=k_count)
+            samples[i] = np.convolve(train, p)[:k_count]
 
     distribute(m, fill)
     return RfFrame(samples=samples, fs=float(fs), f0=pulse.f0, c=c)

@@ -8,17 +8,33 @@ defining module and name of the function it finds there, and
 ``tests/test_acceptance.py``. The lists are written out here, not imported
 from ``perfbench/``, so the benchmark can be rewritten freely; a rename in
 the package that would break it fails here, and not only in a traced
-benchmark run.
+benchmark run. So does a change to the shape of a value the benchmark
+unpacks, pinned on a tiny scene at the end of this file.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from usbeam import BeamformerKind, DelayTable
+from usbeam import (
+    BeamformerKind,
+    DelayTable,
+    ImageGrid,
+    OpCount,
+    Phantom,
+    PulseModel,
+    beamformers,
+    compute_delays,
+    linear_array,
+    pipeline,
+    rfmodel,
+    synthesize_rf,
+)
 from usbeam.config import RunConfig
+from usbeam.dsp import FilterSpec
 
 # (module, name) pairs the workloads call
 CALLED = [
@@ -103,3 +119,55 @@ def test_acceptance_suite_names_resolve():
     # the margins unpack each rig's images as DAS, DMAS, DS-DMAS
     assert suite.KINDS == tuple(BeamformerKind)
     assert set(suite.SIDELOBE_BANDS) == set(suite.NOISE_BANDS) == set(BeamformerKind)
+
+
+@pytest.fixture(scope="module")
+def tiny():
+    geom = linear_array(4, 0.3e-3)
+    phantom = Phantom(np.array([[0.0, 20e-3, 1.0]]), x_bounds=(0.0, 0.0), z_bounds=(20e-3, 20e-3))
+    frame = synthesize_rf(phantom, geom, PulseModel(f0=3e6), 100e6)
+    grid = ImageGrid(x_min=-0.5e-3, x_max=0.5e-3, z_min=19e-3, z_max=21e-3, nx=3, nz=40)
+    return frame, compute_delays(geom, grid, 100e6), grid
+
+
+def test_reconstruction_returns_a_pair_led_by_the_envelope(tiny):
+    # the workloads keep item 0 of each reconstruction
+    frame, delays, grid = tiny
+    result = pipeline.reconstruct_envelope_from_delays(
+        frame, delays, grid, BeamformerKind.DMAS, filter_spec=FilterSpec(center=4e6, half_bandwidth=1e6, taps=31)
+    )
+    assert isinstance(result, tuple) and len(result) == 2
+    assert result[0].shape == (grid.nz, grid.nx)
+
+
+def test_beamform_image_returns_image_and_op_count(tiny):
+    # the tracer unpacks ``image, ops`` and reads ``ops.total``
+    frame, delays, grid = tiny
+    image, ops = pipeline.beamform_image(frame, delays, BeamformerKind.DSDMAS)
+    assert isinstance(image, np.ndarray) and image.shape == (grid.nz, grid.nx)
+    assert isinstance(ops, OpCount) and ops.total > 0
+
+
+def test_gather_can_be_replaced_by_a_two_argument_function(tiny, monkeypatch):
+    # the tracer's gather counter takes exactly (frame, delays) and counts
+    # delays.size // delays.shape[-1] pixels per call
+    frame, delays, grid = tiny
+    expected, _ = pipeline.beamform_image(frame, delays, BeamformerKind.DAS)
+    original = beamformers.fetch_delayed
+    calls = []
+
+    def counted(frame, delays):
+        calls.append(delays.shape)
+        return original(frame, delays)
+
+    monkeypatch.setattr(beamformers, "fetch_delayed", counted)
+    image, _ = pipeline.beamform_image(frame, delays, BeamformerKind.DAS)
+    assert calls == [(grid.nz, frame.element_count)] * grid.nx
+    assert np.array_equal(image, expected)
+
+
+def test_gather_of_one_table_column_is_an_element_block(tiny):
+    # the gather replay fetches ``delays.values[:, j, :]`` column by column
+    frame, delays, grid = tiny
+    block = rfmodel.fetch_delayed(frame, delays.values[:, 1, :])
+    assert block.shape == (grid.nz, frame.element_count)

@@ -294,6 +294,12 @@ class TestMetrics:
         assert run(["metrics", image, "--regions", str(regions)]) == 1
         assert "outside" in capsys.readouterr().err
 
+    def test_unparseable_value_names_its_line(self, image, tmp_path, capsys):
+        regions = tmp_path / "regions.csv"
+        regions.write_text("cr,15,1.0,1.0,1.0,1.0\nfwhm,np.float64(15.8),0,3\n")
+        assert run(["metrics", image, "--regions", str(regions)]) == 1
+        assert capsys.readouterr().err.startswith("error: regions line 2:")
+
     def test_writes_report_file(self, image, tmp_path, capsys):
         regions = tmp_path / "regions.csv"
         regions.write_text("cr,15,1.0,1.0,1.0,1.0\n")

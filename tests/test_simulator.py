@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from usbeam import (
     synthesize_rf,
 )
 from usbeam.simulator import (
-    _ACCUM_CHUNK,
     CYST_DEPTHS,
     CYST_NARROW_RADIUS,
     CYST_NARROW_X,
@@ -31,10 +32,11 @@ PULSE = PulseModel(f0=3e6, cycles=2)
 FS = 100e6
 
 
-def chunked_phantom(seed):
-    """More scatterers than one accumulation chunk, amplitudes of both signs."""
+def speckle_phantom(seed):
+    """2,548 uniformly placed scatterers with amplitudes of both signs,
+    enough that many pairs share a train sample."""
     rng = np.random.default_rng(seed)
-    count = _ACCUM_CHUNK + 500
+    count = 2548
     scatterers = np.column_stack([
         rng.uniform(-3e-3, 3e-3, count), rng.uniform(5e-3, 15e-3, count), rng.uniform(-1.0, 1.0, count)
     ])
@@ -240,7 +242,7 @@ class TestSynthesize:
         # Oracle: each scatterer-element pair adds its own linearly
         # interpolated pulse, w * ((1 - frac) * p[n] + frac * p[n + 1]) at
         # k0 + n.
-        phantom = chunked_phantom(8)
+        phantom = speckle_phantom(8)
         scatterers = phantom.scatterers
         geom = linear_array(6, 0.3e-3)
         frame = synthesize_rf(phantom, geom, PULSE, FS)
@@ -260,13 +262,29 @@ class TestSynthesize:
 
     def test_output_does_not_depend_on_worker_count(self, cpus):
         # 7 channels: two or three workers take unequal shares
-        phantom = chunked_phantom(9)
+        phantom = speckle_phantom(9)
         geom = linear_array(7, 0.3e-3)
         cpus(1)
         serial = synthesize_rf(phantom, geom, PULSE, FS).samples
         for count in (2, 3, 64):
             cpus(count)
             assert np.array_equal(synthesize_rf(phantom, geom, PULSE, FS).samples, serial)
+
+    def test_synthesis_holds_two_frames(self, cpus):
+        # The samples and RfFrame's padded copy are the only frame-sized
+        # buffers; each worker's temporaries are a few scatterer-length
+        # vectors.
+        cpus(2)
+        phantom = speckle_phantom(10)
+        geom = linear_array(64, 0.3e-3)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            frame = synthesize_rf(phantom, geom, PULSE, FS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - entry) / frame.samples.nbytes <= 2.5
 
     def test_rejects_empty_phantom(self):
         geom = linear_array(4, 0.3e-3)

@@ -93,6 +93,7 @@ def cmd_simulate(args) -> int:
     cfg = _config_from(args)
     noise = NoiseSpec(target_snr_db=cfg.snr_db, seed=cfg.seed)
     geometry = linear_array(cfg.elements, cfg.pitch, cfg.c)
+    containers.check_rf_elements(geometry.element_count)
     phantom = build_phantom(cfg)
     pulse = PulseModel(f0=cfg.f0, cycles=cfg.cycles)
     clean = synthesize_rf(phantom, geometry, pulse, cfg.fs)
@@ -118,6 +119,7 @@ def cmd_beamform(args) -> int:
     kind = BeamformerKind(args.algo)
     geometry = linear_array(frame.element_count, pitch, frame.c)
     grid = _grid_from(cfg)
+    containers.check_image_grid(grid)
     spec = default_filter(
         kind, frame.f0, taps=cfg.filter_taps,
         half_bandwidth=cfg.filter_half_bandwidth, center=cfg.filter_center or None,

@@ -43,11 +43,22 @@ def atomic_write(path: str, payload: bytes) -> None:
         raise
 
 
+def check_rf_elements(element_count: int) -> None:
+    """Raise unless an RF container can hold this many elements."""
+    if element_count > 0xFFFF:
+        raise ValueError("element count exceeds the container's 16-bit field")
+
+
+def check_image_grid(grid: ImageGrid) -> None:
+    """Raise unless an image container can hold an image on this grid."""
+    if grid.nx > 0xFFFF:
+        raise ValueError("grid width exceeds the container's 16-bit field")
+
+
 def write_rf(path: str, frame: RfFrame, pitch: float) -> None:
     """Write a frame as an RF container (header + float32 channel-major body)."""
     m, k = frame.element_count, frame.sample_count
-    if m > 0xFFFF:
-        raise ValueError("element count exceeds the container's 16-bit field")
+    check_rf_elements(m)
     header = _HEADER.pack(RF_MAGIC, FORMAT_VERSION, m, k, frame.fs, frame.f0, frame.c, pitch, _RESERVED)
     body = frame.samples.astype("<f4").tobytes(order="C")
     atomic_write(path, header + body)
@@ -85,8 +96,7 @@ def write_image(path: str, image: np.ndarray, grid: ImageGrid) -> None:
     img = np.asarray(image, dtype=float)
     if img.shape != (grid.nz, grid.nx):
         raise ValueError("image shape must match the grid (nz rows, nx columns)")
-    if grid.nx > 0xFFFF:
-        raise ValueError("grid width exceeds the container's 16-bit field")
+    check_image_grid(grid)
     header = _HEADER.pack(
         IMAGE_MAGIC, FORMAT_VERSION, grid.nx, grid.nz, grid.x_min, grid.x_max, grid.z_min, grid.z_max, _RESERVED
     )
@@ -96,6 +106,8 @@ def write_image(path: str, image: np.ndarray, grid: ImageGrid) -> None:
 def read_image(path: str) -> tuple[np.ndarray, ImageGrid]:
     """Read an image container; returns the image and its grid."""
     nx, nz, (x_min, x_max, z_min, z_max), payload = _read_container(path, IMAGE_MAGIC, "image")
+    if not np.all(np.isfinite(payload)):
+        raise ValueError(f"{path}: image container holds non-finite pixels")
     return payload.reshape(nz, nx), ImageGrid(x_min=x_min, x_max=x_max, z_min=z_min, z_max=z_max, nx=nx, nz=nz)
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _require_finite_positive
+from .geometry import _require_count, _require_finite_positive
 from .workers import distribute
 
 # Image columns per envelope transform. It bounds the complex work arrays to
@@ -31,8 +31,9 @@ class FilterSpec:
     taps: int = 63
 
     def __post_init__(self):
-        if self.taps < 3 or self.taps % 2 == 0:
-            raise ValueError("taps must be an odd integer >= 3")
+        _require_count("taps", self.taps, 3)
+        if self.taps % 2 == 0:
+            raise ValueError(f"taps must be odd, got {self.taps!r}")
         _require_finite_positive("center", self.center)
         _require_finite_positive("half_bandwidth", self.half_bandwidth)
         if not self.center - self.half_bandwidth > 0:
@@ -83,28 +84,25 @@ def bandpass(signal, spec: FilterSpec, fs: float) -> np.ndarray:
     The output has the same length as the input and is aligned to it
     (symmetric taps, integer group delay removed); boundaries are handled
     by edge replication. DC is rejected exactly by construction and the
-    gain at spec.center is one. A 1-D view of :func:`bandpass_image`.
+    gain at spec.center is one. A 1-D view of :func:`bandpass_image`,
+    applied to a copy of the signal.
     """
-    x = np.asarray(signal, dtype=float)
+    x = np.array(signal, dtype=float)
     if x.ndim != 1:
         raise ValueError("signal must be 1-D")
     return bandpass_image(x[:, None], spec, fs)[:, 0]
 
 
-def bandpass_image(image, spec: FilterSpec, axial_rate: float, out=None) -> np.ndarray:
-    """Filter every image column (one reconstructed line) along depth.
+def bandpass_image(image: np.ndarray, spec: FilterSpec, axial_rate: float) -> np.ndarray:
+    """Filter every column (one reconstructed line) of a writeable 2-D
+    float64 image along depth, in place, and return the image.
 
     axial_rate is the line's equivalent sampling rate in Hz: c / (2 dz)
-    for a grid with axial pixel spacing dz. A given ``out`` (see
-    :func:`_require_out`) receives the result and is returned; it may be the
-    image itself, because each column is copied into its edge-padded line
-    before it is written back.
+    for a grid with axial pixel spacing dz. Each column is copied into its
+    edge-padded line before it is overwritten.
     """
-    img = np.asarray(image, dtype=float)
-    if img.ndim != 2:
-        raise ValueError("image must be 2-D")
+    img = _require_image(image)
     spec.validate_line(img.shape[0], axial_rate)
-    out = np.empty_like(img) if out is None else _require_out(out, img)
     h = design_bandpass(spec, axial_rate)
     mid = (h.size - 1) // 2
 
@@ -114,10 +112,10 @@ def bandpass_image(image, spec: FilterSpec, axial_rate: float, out=None) -> np.n
             # convolution of the padded line is exactly group-delay aligned.
             x = img[:, j]
             padded = np.concatenate([np.full(mid, x[0]), x, np.full(mid, x[-1])])
-            out[:, j] = np.convolve(padded, h, mode="valid")
+            img[:, j] = np.convolve(padded, h, mode="valid")
 
     distribute(img.shape[1], fill)
-    return out
+    return img
 
 
 def envelope(signal) -> np.ndarray:
@@ -127,28 +125,26 @@ def envelope(signal) -> np.ndarray:
     the positive ones, inverse-transform and take the magnitude. The
     transform runs at the next power-of-two length; the first and last few
     percent of samples carry edge transients. A 1-D view of
-    :func:`envelope_image`.
+    :func:`envelope_image`, applied to a copy of the signal.
     """
-    x = np.asarray(signal, dtype=float)
+    x = np.array(signal, dtype=float)
     if x.ndim != 1:
         raise ValueError("signal must be 1-D")
     return envelope_image(x[:, None])[:, 0]
 
 
-def envelope_image(image, out=None) -> np.ndarray:
-    """Per-column envelope along the axial axis.
+def envelope_image(image: np.ndarray) -> np.ndarray:
+    """Per-column envelope of a writeable 2-D float64 image along the
+    axial axis, in place; returns the image.
 
-    The columns are transformed in blocks of ``_ENVELOPE_BLOCK``, split over
-    the CPUs the process may use, so the complex work arrays are one block
-    wide rather than one image wide. Each column's transform is the same
-    whatever the block it falls in, so the output does not depend on the
-    blocking or the thread count. A given ``out`` (see :func:`_require_out`)
-    receives the result and is returned; it may be the image itself,
-    because each block is transformed before its result is assigned.
+    The columns are transformed in blocks of ``_ENVELOPE_BLOCK``, split
+    over the CPUs the process may use, so the complex work arrays are one
+    block wide rather than one image wide; each block is transformed before
+    its result is written back. Each column's transform is the same whatever
+    the block it falls in, so the output does not depend on the blocking or
+    the thread count.
     """
-    img = np.asarray(image, dtype=float)
-    if img.ndim != 2:
-        raise ValueError("image must be 2-D")
+    img = _require_image(image)
     if img.shape[0] < 4:
         raise ValueError("image too short for envelope detection")
     nz, nx = img.shape
@@ -156,29 +152,22 @@ def envelope_image(image, out=None) -> np.ndarray:
     weights = np.zeros(nfft)
     weights[0] = weights[nfft // 2] = 1.0
     weights[1 : nfft // 2] = 2.0
-    out = np.empty((nz, nx)) if out is None else _require_out(out, img)
 
     def fill(blocks) -> None:
         for b in blocks:
             cols = slice(b * _ENVELOPE_BLOCK, (b + 1) * _ENVELOPE_BLOCK)
-            out[:, cols] = _block_envelope(img[:, cols], weights)
+            img[:, cols] = _block_envelope(img[:, cols], weights)
 
     distribute(-(-nx // _ENVELOPE_BLOCK), fill)
-    return out
+    return img
 
 
-def _require_out(out, img: np.ndarray) -> np.ndarray:
-    """Check an ``out`` argument of the per-column stages: a writeable
-    float64 array of the image's shape that is either the image itself or
-    shares no memory with it (a partly overlapping one would be read after
-    it was written)."""
-    if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == img.shape):
-        raise ValueError(f"out must be a float64 array of shape {img.shape}")
-    if not out.flags.writeable:
-        raise ValueError("out must be writeable")
-    if np.may_share_memory(out, img) and (out.ctypes.data, out.strides) != (img.ctypes.data, img.strides):
-        raise ValueError("out must be the image itself or share no memory with it")
-    return out
+def _require_image(image) -> np.ndarray:
+    """Check that a per-column stage can transform the image in place."""
+    float_image = isinstance(image, np.ndarray) and image.ndim == 2 and image.dtype == np.float64
+    if not (float_image and image.flags.writeable):
+        raise ValueError("image must be a writeable 2-D float64 array")
+    return image
 
 
 def _block_envelope(block: np.ndarray, weights: np.ndarray) -> np.ndarray:

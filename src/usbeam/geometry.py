@@ -6,9 +6,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+
 def _require_finite_positive(name: str, value) -> None:
     if not (np.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _require_count(name: str, value, minimum: int) -> None:
+    """Check a count or a seed: a Python or NumPy integer of at least ``minimum``."""
+    if not (isinstance(value, (int, np.integer)) and value >= minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -34,8 +41,7 @@ class ArrayGeometry:
     element_x: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.element_count < 2:
-            raise ValueError("element_count must be >= 2")
+        _require_count("element_count", self.element_count, 2)
         _require_finite_positive("pitch", self.pitch)
         _require_finite_positive("sound_speed", self.sound_speed)
         idx = np.arange(self.element_count, dtype=float)
@@ -63,8 +69,8 @@ class ImageGrid:
     nz: int
 
     def __post_init__(self):
-        if self.nx < 1 or self.nz < 1:
-            raise ValueError("nx and nz must be >= 1")
+        _require_count("nx", self.nx, 1)
+        _require_count("nz", self.nz, 1)
         for name in ("x_min", "x_max", "z_min", "z_max"):
             value = getattr(self, name)
             if not np.isfinite(value):

@@ -72,8 +72,8 @@ def reconstruct_envelope_from_delays(
     spec = filter_spec or default_filter(kind, frame.f0)
     axial_rate = axial_sample_rate(grid, frame.c)
     spec.validate_line(grid.nz, axial_rate)  # fail before beamforming, not after
-    # The band-pass and the envelope overwrite the beamformer's output, so
-    # the chain holds one (nz, nx) image and returns that buffer.
+    # The band-pass and the envelope transform the beamformer's output in
+    # place, so the chain holds one (nz, nx) image and returns that buffer.
     image, ops = beamform_image(frame, delays, kind)
-    bandpass_image(image, spec, axial_rate, out=image)
-    return envelope_image(image, out=image), ops
+    bandpass_image(image, spec, axial_rate)
+    return envelope_image(image), ops

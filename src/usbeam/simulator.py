@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ArrayGeometry, _require_finite_positive
+from .geometry import ArrayGeometry, _require_count, _require_finite_positive
 from .rfmodel import RfFrame
 from .workers import distribute
 
@@ -23,8 +23,7 @@ class PulseModel:
 
     def __post_init__(self):
         _require_finite_positive("f0", self.f0)
-        if self.cycles < 1:
-            raise ValueError("cycles must be >= 1")
+        _require_count("cycles", self.cycles, 1)
 
 
 @dataclass(frozen=True)
@@ -38,12 +37,7 @@ class NoiseSpec:
     def __post_init__(self):
         if not self.target_snr_db > -math.inf:
             raise ValueError(f"target_snr_db must be a number above -inf, got {self.target_snr_db!r}")
-        _require_seed(self.seed)
-
-
-def _require_seed(seed) -> None:
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        _require_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -129,18 +123,10 @@ def make_wire_phantom(pair_separation: float = DEFAULT_PAIR_SEPARATION) -> Phant
     )
 
 
-def _cyst_centers():
-    centers = []
-    for z in CYST_DEPTHS:
-        centers.append((CYST_WIDE_X, z, CYST_WIDE_RADIUS))
-        centers.append((CYST_NARROW_X, z, CYST_NARROW_RADIUS))
-    return centers
-
-
 def _speckle(seed: int, speckle_density: float, x_bounds, z_bounds):
     """Uniformly placed speckle scatterers in a box, amplitudes uniform on
     [-1, 1]: returns (x, z, amplitude) arrays, drawn in that order."""
-    _require_seed(seed)
+    _require_count("seed", seed, 0)
     _require_finite_positive("speckle_density", speckle_density)
     rng = np.random.default_rng(seed)
     (x_lo, x_hi), (z_lo, z_hi) = x_bounds, z_bounds
@@ -158,9 +144,10 @@ def make_cyst_phantom(seed: int = 2024, speckle_density: float = DEFAULT_SPECKLE
     its amplitude zeroed, which makes the discs anechoic.
     """
     x, z, amp = _speckle(seed, speckle_density, _CYST_X_BOUNDS, _CYST_Z_BOUNDS)
-    for cx, cz, radius in _cyst_centers():
-        inside = (x - cx) ** 2 + (z - cz) ** 2 <= radius**2
-        amp[inside] = 0.0
+    for cz in CYST_DEPTHS:
+        for cx, radius in ((CYST_WIDE_X, CYST_WIDE_RADIUS), (CYST_NARROW_X, CYST_NARROW_RADIUS)):
+            inside = (x - cx) ** 2 + (z - cz) ** 2 <= radius**2
+            amp[inside] = 0.0
     return Phantom(
         scatterers=np.column_stack([x, z, amp]),
         x_bounds=_CYST_X_BOUNDS,

@@ -13,6 +13,10 @@ def run(args):
     return cli.main(args)
 
 
+def unreachable(*args, **kwargs):
+    raise AssertionError("the command reached work it should have refused")
+
+
 @pytest.fixture()
 def wire_rf(tmp_path):
     path = str(tmp_path / "wire.urf")
@@ -82,7 +86,7 @@ class TestSimulate:
         monkeypatch.setattr(cli, "synthesize_rf", lambda *args: calls.append(args))
         out = tmp_path / "x.urf"
         assert run(["simulate", *argv, "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: seed must be a non-negative integer, got -1")
+        assert capsys.readouterr().err.startswith("error: seed must be an integer >= 0, got -1")
         assert calls == []
         assert not out.exists()
 
@@ -105,6 +109,13 @@ class TestSimulate:
         assert run(["simulate", "--phantom", "custom", "--custom-scatterers", "0,-5,1",
                     "--elements", "4", "--snr-db", "300", "--out", str(tmp_path / "f.urf")]) == 1
         assert "below the array face" in capsys.readouterr().err
+
+    def test_element_limit_is_checked_before_synthesis(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(cli, "synthesize_rf", unreachable)
+        out = tmp_path / "x.urf"
+        assert run(["simulate", "--elements", "65536", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: element count exceeds the container's 16-bit field\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("phantom", ["cysts", "tumor"])
     def test_speckle_phantoms_simulate(self, tmp_path, phantom):
@@ -193,6 +204,42 @@ class TestBeamform:
         assert capsys.readouterr().err.startswith("error: center must be finite and positive")
         assert calls == []
         assert not out.exists()
+
+    def test_width_limit_is_checked_before_reconstruction(self, wire_rf, monkeypatch, tmp_path,
+                                                          capsys):
+        monkeypatch.setattr(cli, "reconstruct_envelope", unreachable)
+        out = tmp_path / "x.uim"
+        assert run(["beamform", wire_rf, "--algo", "das", *GRID_FLAGS, "--nx=65536",
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: grid width exceeds the container's 16-bit field\n"
+        assert not out.exists()
+
+
+@pytest.fixture()
+def nan_image(tmp_path):
+    """An image container of ones whose pixel at x = 0, z = 15 mm is NaN."""
+    grid = ImageGrid(x_min=-4e-3, x_max=4e-3, z_min=10e-3, z_max=20e-3, nx=33, nz=41)
+    path = tmp_path / "nan.uim"
+    write_image(str(path), np.ones((41, 33)), grid)
+    raw = bytearray(path.read_bytes())
+    pixel = 64 + 4 * (20 * 33 + 16)  # row 20, column 16, after the 64-byte header
+    raw[pixel : pixel + 4] = struct.pack("<f", np.nan)
+    path.write_bytes(bytes(raw))
+    return str(path)
+
+
+# The NaN pixel lies in the cr row's cyst disc.
+@pytest.mark.parametrize("argv", [
+    ["render", "--out", "x.pgm"],
+    ["profile", "--depth-mm", "15", "--out", "x.csv"],
+    ["metrics", "--regions", "regions.csv"],
+], ids=["render", "profile", "metrics"])
+def test_non_finite_pixel_is_rejected_naming_the_file(argv, nan_image, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "regions.csv").write_text("cr,15,0,1.0,-2.5,1.0\n")
+    assert run([argv[0], nan_image, *argv[1:]]) == 1
+    assert capsys.readouterr() == ("", f"error: {nan_image}: image container holds non-finite pixels\n")
+    assert not (tmp_path / "x.pgm").exists() and not (tmp_path / "x.csv").exists()
 
 
 class TestRender:

@@ -26,19 +26,12 @@ def whole_image_envelope(img):
     return np.abs(analytic[: img.shape[0], :])
 
 
-def apply(stage, img, in_place, *args):
-    """Run a per-column stage allocating, checking that it leaves its input
-    untouched, or with ``out=img``, checking that it returns that buffer."""
-    before = img.copy()
-    out = stage(img, *args, out=img if in_place else None)
-    if in_place:
-        assert out is img
-    else:
-        assert np.array_equal(img, before)
+def apply(stage, img, *args):
+    """Run a per-column stage, checking that it returns the array it was
+    given."""
+    out = stage(img, *args)
+    assert out is img
     return out
-
-
-IN_PLACE = pytest.mark.parametrize("in_place", [False, True], ids=["allocating", "in_place"])
 
 
 class TestFilterSpec:
@@ -107,22 +100,20 @@ class TestBandpass:
         with pytest.raises(ValueError):
             bandpass(np.zeros(SPEC.taps), SPEC, FS)
 
-    @IN_PLACE
-    def test_image_filtering_matches_per_column(self, in_place):
+    def test_image_filtering_matches_per_column(self):
         rng = np.random.default_rng(2)
         img = rng.normal(size=(300, 4))
         columns = [bandpass(img[:, j], SPEC, FS) for j in range(4)]
-        out = apply(bandpass_image, img, in_place, SPEC, FS)
+        out = apply(bandpass_image, img, SPEC, FS)
         for j in range(4):
             assert np.array_equal(out[:, j], columns[j])
 
-    @IN_PLACE
-    def test_output_does_not_depend_on_worker_count(self, cpus, in_place):
+    def test_output_does_not_depend_on_worker_count(self, cpus):
         img = np.random.default_rng(6).normal(size=(300, 7))
         cpus(1)
-        serial = bandpass_image(img, SPEC, FS)
+        serial = bandpass_image(img.copy(), SPEC, FS)
         cpus(64)
-        assert np.array_equal(apply(bandpass_image, img, in_place, SPEC, FS), serial)
+        assert np.array_equal(apply(bandpass_image, img, SPEC, FS), serial)
 
 
 class TestEnvelope:
@@ -149,30 +140,27 @@ class TestEnvelope:
         with pytest.raises(ValueError):
             envelope(np.zeros(3))
 
-    @IN_PLACE
-    def test_image_envelope_matches_per_column(self, in_place):
+    def test_image_envelope_matches_per_column(self):
         rng = np.random.default_rng(3)
         img = rng.normal(size=(512, 3))
         columns = [envelope(img[:, j]) for j in range(3)]
-        out = apply(envelope_image, img, in_place)
+        out = apply(envelope_image, img)
         for j in range(3):
             assert np.allclose(out[:, j], columns[j], rtol=1e-12, atol=1e-12)
 
     # two full column blocks and a ragged one, and a single column
-    @IN_PLACE
     @pytest.mark.parametrize("nx", [2 * _ENVELOPE_BLOCK + 3, 1])
-    def test_blocks_match_whole_image_transform(self, nx, in_place):
+    def test_blocks_match_whole_image_transform(self, nx):
         img = np.random.default_rng(7).normal(size=(300, nx))
         expected = whole_image_envelope(img)
-        assert np.array_equal(apply(envelope_image, img, in_place), expected)
+        assert np.array_equal(apply(envelope_image, img), expected)
 
-    @IN_PLACE
-    def test_output_does_not_depend_on_worker_count(self, cpus, in_place):
+    def test_output_does_not_depend_on_worker_count(self, cpus):
         img = np.random.default_rng(8).normal(size=(300, 2 * _ENVELOPE_BLOCK + 3))
         cpus(1)
-        serial = envelope_image(img)
+        serial = envelope_image(img.copy())
         cpus(64)
-        assert np.array_equal(apply(envelope_image, img, in_place), serial)
+        assert np.array_equal(apply(envelope_image, img), serial)
 
     def test_work_arrays_are_narrower_than_the_image(self, cpus):
         cpus(2)
@@ -188,8 +176,8 @@ class TestEnvelope:
 
 
 STAGES = {
-    "bandpass_image": lambda img, out: bandpass_image(img, SPEC, FS, out=out),
-    "envelope_image": lambda img, out: envelope_image(img, out=out),
+    "bandpass_image": lambda img: bandpass_image(img, SPEC, FS),
+    "envelope_image": envelope_image,
 }
 
 
@@ -198,23 +186,31 @@ def read_only(a):
     return a
 
 
-# Each bad out is built from a (300, 8) array whose first 7 columns are the
-# image.
 @pytest.mark.parametrize("stage", STAGES.values(), ids=STAGES.keys())
-@pytest.mark.parametrize("make_out,message", [
-    (lambda big: np.empty((300, 8)), r"^out must be a float64 array of shape \(300, 7\)$"),
-    (lambda big: np.empty((300, 7), dtype=np.float32), "^out must be a float64 array"),
-    (lambda big: [[0.0] * 7] * 300, "^out must be a float64 array"),
-    (lambda big: read_only(np.empty((300, 7))), "^out must be writeable$"),
-    (lambda big: big[:, 1:], "^out must be the image itself or share no memory with it$"),
-], ids=["shape", "dtype", "list", "read_only", "overlapping"])
-def test_rejects_a_bad_out(stage, make_out, message):
-    big = np.random.default_rng(10).normal(size=(300, 8))
-    image = big[:, :7]
-    before = big.copy()
-    with pytest.raises(ValueError, match=message):
-        stage(image, make_out(big))
-    assert np.array_equal(big, before)
+@pytest.mark.parametrize("make_image", [
+    lambda a: a.astype(np.float32),
+    lambda a: a.tolist(),
+    lambda a: a[:, 0],
+    read_only,
+], ids=["float32", "list", "1-D", "read_only"])
+def test_rejects_an_image_it_cannot_write(stage, make_image):
+    image = make_image(np.random.default_rng(10).normal(size=(300, 7)))
+    before = np.array(image)
+    with pytest.raises(ValueError, match="^image must be a writeable 2-D float64 array$"):
+        stage(image)
+    assert np.array_equal(image, before)
+
+
+# The 1-D views filter a copy, so no signal is changed and a read-only one
+# is accepted.
+@pytest.mark.parametrize("view", [lambda x: bandpass(x, SPEC, FS), envelope], ids=["bandpass", "envelope"])
+@pytest.mark.parametrize("make_signal", [np.copy, read_only], ids=["writeable", "read_only"])
+def test_1d_views_leave_their_input_untouched(view, make_signal):
+    signal = make_signal(np.random.default_rng(11).normal(size=300))
+    before = signal.copy()
+    out = view(signal)
+    assert out.shape == signal.shape and not np.shares_memory(out, signal)
+    assert np.array_equal(signal, before)
 
 
 class TestLogCompress:

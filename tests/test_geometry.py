@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from usbeam import ArrayGeometry, ImageGrid, compute_delays, linear_array
+from usbeam import ArrayGeometry, FilterSpec, ImageGrid, PulseModel, compute_delays, linear_array
 
 
 def test_linear_array_centered_and_uniform():
@@ -36,6 +36,29 @@ def test_geometry_rejects_non_finite_scalars(field, value):
         ArrayGeometry(3, kwargs["pitch"], kwargs["sound_speed"])
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         linear_array(3, **kwargs)
+
+
+# Every count a constructor takes, built with the count set to a value.
+COUNTS = {
+    "element_count": lambda n: linear_array(n, 0.3e-3),
+    "nx": lambda n: ImageGrid(x_min=0.0, x_max=1e-3, z_min=1e-3, z_max=2e-3, nx=n, nz=2),
+    "nz": lambda n: ImageGrid(x_min=0.0, x_max=1e-3, z_min=1e-3, z_max=2e-3, nx=2, nz=n),
+    "taps": lambda n: FilterSpec(center=6e6, half_bandwidth=1e6, taps=n),
+    "cycles": lambda n: PulseModel(f0=3e6, cycles=n),
+}
+
+
+@pytest.mark.parametrize("field", COUNTS)
+@pytest.mark.parametrize("value", [2.5, 63.0, np.float64(5.0), "5", None])
+def test_counts_must_be_integers(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
+        COUNTS[field](value)
+
+
+@pytest.mark.parametrize("field", COUNTS)
+@pytest.mark.parametrize("value", [5, np.int32(5), np.int64(5), np.uint16(5)])
+def test_counts_accept_python_and_numpy_integers(field, value):
+    COUNTS[field](value)
 
 
 @pytest.mark.parametrize(

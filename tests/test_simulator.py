@@ -96,7 +96,7 @@ class TestPhantoms:
 
     @pytest.mark.parametrize("factory", [make_cyst_phantom, make_tumor_phantom])
     def test_negative_speckle_seed_is_named(self, factory):
-        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0, got -1$"):
             factory(seed=-1)
 
     @pytest.mark.parametrize("separation", [np.inf, np.nan, 0.0])
@@ -319,7 +319,7 @@ class TestNoise:
             NoiseSpec(target_snr_db=target)
 
     def test_spec_rejects_a_negative_seed(self):
-        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0, got -1$"):
             NoiseSpec(target_snr_db=10.0, seed=-1)
 
     @pytest.mark.parametrize("target", [-4000.0, -3100.0])

@@ -159,8 +159,8 @@ def beamform_image(frame: RfFrame, delays: DelayTable, kind: BeamformerKind):
     Parameters
     ----------
     frame : RfFrame
-        Channel data; its element count, sampling rate and sound speed
-        must match the delay table.
+        Channel data; its array and sampling rate must equal the delay
+        table's.
     delays : DelayTable
         From :func:`compute_delays`.
     kind : BeamformerKind
@@ -182,16 +182,11 @@ def beamform_image(frame: RfFrame, delays: DelayTable, kind: BeamformerKind):
     depend on it. An error in any thread is raised here once every thread
     has finished, and no partial image is returned.
     """
-    m = delays.geometry.element_count
-    if m != frame.element_count:
-        raise ValueError("delay table does not match the frame's element count")
+    if delays.geometry != frame.geometry:
+        raise ValueError(f"delay table built for {delays.geometry}, frame recorded by {frame.geometry}")
     if delays.fs != frame.fs:
         raise ValueError(f"delay table built for fs={delays.fs:.6g} Hz, frame sampled at fs={frame.fs:.6g} Hz")
-    if delays.geometry.sound_speed != frame.c:
-        raise ValueError(
-            f"delay table built for c={delays.geometry.sound_speed:.6g} m/s, frame recorded at c={frame.c:.6g} m/s"
-        )
-    ops = op_count(kind, m)
+    ops = op_count(kind, frame.element_count)
     kernel = _KERNELS[kind]
     out = np.empty((delays.grid.nz, delays.grid.nx))
 

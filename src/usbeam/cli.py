@@ -103,7 +103,7 @@ def cmd_simulate(args) -> int:
     else:
         noise_power = float(np.mean((frame.samples - clean.samples) ** 2))
         realized = f"{10.0 * np.log10(signal_power(clean.samples) / noise_power):.6f}"
-    containers.write_rf(args.out, frame, cfg.pitch)
+    containers.write_rf(args.out, frame)
     print(f"phantom={cfg.phantom}")
     print(f"elements={frame.element_count}")
     print(f"samples={frame.sample_count}")
@@ -115,16 +115,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_beamform(args) -> int:
     cfg = _config_from(args)
-    frame, pitch = containers.read_rf(args.rf_path)
+    frame, _pitch = containers.read_rf(args.rf_path)
     kind = BeamformerKind(args.algo)
-    geometry = linear_array(frame.element_count, pitch, frame.c)
     grid = _grid_from(cfg)
     containers.check_image_grid(grid)
     spec = default_filter(
         kind, frame.f0, taps=cfg.filter_taps,
         half_bandwidth=cfg.filter_half_bandwidth, center=cfg.filter_center or None,
     )
-    env, ops = reconstruct_envelope(frame, geometry, grid, kind, filter_spec=spec)
+    env, ops = reconstruct_envelope(frame, grid, kind, filter_spec=spec)
     containers.write_image(args.out, env, grid)
     lines = [
         f"algo={args.algo}",

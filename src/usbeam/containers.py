@@ -3,8 +3,9 @@ image container, and portable graymap rendering.
 
 Both binary containers use a fixed 64-byte little-endian header followed
 by a float32 payload; doubles in memory are quantized to float32 exactly
-once, at write time. Writes go to a temporary file in the target
-directory and are renamed into place.
+once, at write time, and a value that is not finite in float32 is
+refused. Writes go to a temporary file in the target directory and are
+renamed into place.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import struct
 import numpy as np
 
 from .dsp import DbImage
-from .geometry import ImageGrid
+from .geometry import ArrayGeometry, ImageGrid
 from .rfmodel import RfFrame
 
 RF_MAGIC = b"URF1"
@@ -55,13 +56,22 @@ def check_image_grid(grid: ImageGrid) -> None:
         raise ValueError("grid width exceeds the container's 16-bit field")
 
 
-def write_rf(path: str, frame: RfFrame, pitch: float) -> None:
-    """Write a frame as an RF container (header + float32 channel-major body)."""
+def _float32_payload(path: str, values: np.ndarray) -> bytes:
+    """The values quantized to float32, once; raises, naming the file, if
+    any is not finite there, so no writer leaves a file its reader rejects."""
+    with np.errstate(over="ignore"):
+        payload = values.astype("<f4")
+    if not np.all(np.isfinite(payload)):
+        raise ValueError(f"{path}: values must be finite in float32")
+    return payload.tobytes(order="C")
+
+
+def write_rf(path: str, frame: RfFrame) -> None:
+    """Write a frame, with its array's pitch, as an RF container (header + float32 channel-major body)."""
     m, k = frame.element_count, frame.sample_count
     check_rf_elements(m)
-    header = _HEADER.pack(RF_MAGIC, FORMAT_VERSION, m, k, frame.fs, frame.f0, frame.c, pitch, _RESERVED)
-    body = frame.samples.astype("<f4").tobytes(order="C")
-    atomic_write(path, header + body)
+    header = _HEADER.pack(RF_MAGIC, FORMAT_VERSION, m, k, frame.fs, frame.f0, frame.c, frame.geometry.pitch, _RESERVED)
+    atomic_write(path, header + _float32_payload(path, frame.samples))
 
 
 def _read_container(path: str, magic: bytes, what: str):
@@ -84,11 +94,13 @@ def _read_container(path: str, magic: bytes, what: str):
 
 
 def read_rf(path: str) -> tuple[RfFrame, float]:
-    """Read an RF container; returns the frame and the element pitch."""
+    """Read an RF container; returns the frame, with the array that recorded it, and that array's pitch."""
     m, k, (fs, f0, c, pitch), payload = _read_container(path, RF_MAGIC, "RF")
-    if not (np.isfinite(pitch) and pitch > 0):
-        raise ValueError(f"{path}: RF container pitch must be finite and positive, got {pitch!r}")
-    return RfFrame(samples=payload.reshape(m, k), fs=fs, f0=f0, c=c), pitch
+    try:
+        frame = RfFrame(samples=payload.reshape(m, k), fs=fs, f0=f0, geometry=ArrayGeometry(m, pitch, c))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return frame, pitch
 
 
 def write_image(path: str, image: np.ndarray, grid: ImageGrid) -> None:
@@ -100,7 +112,7 @@ def write_image(path: str, image: np.ndarray, grid: ImageGrid) -> None:
     header = _HEADER.pack(
         IMAGE_MAGIC, FORMAT_VERSION, grid.nx, grid.nz, grid.x_min, grid.x_max, grid.z_min, grid.z_max, _RESERVED
     )
-    atomic_write(path, header + img.astype("<f4").tobytes(order="C"))
+    atomic_write(path, header + _float32_payload(path, img))
 
 
 def read_image(path: str) -> tuple[np.ndarray, ImageGrid]:

@@ -13,8 +13,8 @@ def _require_finite_positive(name: str, value) -> None:
 
 
 def _require_count(name: str, value, minimum: int) -> None:
-    """Check a count or a seed: a Python or NumPy integer of at least ``minimum``."""
-    if not (isinstance(value, (int, np.integer)) and value >= minimum):
+    """Check a count or a seed: a Python or NumPy integer, not a bool, of at least ``minimum``."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= minimum):
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
@@ -25,7 +25,7 @@ class ArrayGeometry:
     Parameters
     ----------
     element_count : int
-        Number of elements, at least 2.
+        Number of elements, at least 1 (``op_count`` states each kind's minimum).
     pitch : float
         Center-to-center element spacing in meters.
     sound_speed : float
@@ -41,7 +41,7 @@ class ArrayGeometry:
     element_x: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _require_count("element_count", self.element_count, 2)
+        _require_count("element_count", self.element_count, 1)
         _require_finite_positive("pitch", self.pitch)
         _require_finite_positive("sound_speed", self.sound_speed)
         idx = np.arange(self.element_count, dtype=float)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .beamformers import BeamformerKind, beamform_image
 from .dsp import FilterSpec, bandpass_image, envelope_image
-from .geometry import ArrayGeometry, ImageGrid, compute_delays
+from .geometry import ImageGrid, compute_delays
 from .rfmodel import RfFrame
 
 
@@ -36,13 +36,12 @@ def default_filter(kind: BeamformerKind, f0: float, taps: int = 63,
 
 def reconstruct_envelope(
     frame: RfFrame,
-    geometry: ArrayGeometry,
     grid: ImageGrid,
     kind: BeamformerKind,
     filter_spec: FilterSpec | None = None,
 ):
-    """Full reconstruction chain: delays, beamforming, band-pass along each
-    line, envelope detection.
+    """Full reconstruction chain: delays from the frame's array, beamforming,
+    band-pass along each line, envelope detection.
 
     Returns the envelope-domain image (nz, nx) and the per-pixel operation
     count of the beamforming kernel. ``filter_spec=None`` selects
@@ -51,7 +50,7 @@ def reconstruct_envelope(
     and nz must exceed the filter's taps; both are checked before any
     beamforming.
     """
-    delays = compute_delays(geometry, grid, frame.fs)
+    delays = compute_delays(frame.geometry, grid, frame.fs)
     return reconstruct_envelope_from_delays(frame, delays, grid, kind, filter_spec=filter_spec)
 
 

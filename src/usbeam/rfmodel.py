@@ -6,35 +6,35 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import _require_finite_positive
+from .geometry import ArrayGeometry, _require_finite_positive
 
 
 @dataclass(frozen=True)
 class RfFrame:
     """Raw channel data plus acquisition metadata.
 
-    samples[i, k] is the value recorded by element i at time index k. The
-    frame copies the samples into one read-only buffer with one zero before
-    and two after each channel, the layout :func:`fetch_delayed` reads;
-    ``samples`` is a view of that buffer, so the frame never aliases the
-    caller's array.
+    samples[i, k] is the value recorded by element i of ``geometry``, the
+    array that recorded the frame, at time index k. The frame copies the
+    samples into one read-only buffer with one zero before and two after
+    each channel, the layout :func:`fetch_delayed` reads; ``samples`` is a
+    view of that buffer, so the frame never aliases the caller's array.
     """
 
     samples: np.ndarray
     fs: float
     f0: float
-    c: float
+    geometry: ArrayGeometry
     _padded: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=float)
         if s.ndim != 2 or s.shape[1] < 1:
             raise ValueError("samples must be a 2-D elements-by-time matrix")
-        if s.shape[0] < 1:
-            raise ValueError("samples must hold at least one element")
+        if not (isinstance(self.geometry, ArrayGeometry) and s.shape[0] == self.geometry.element_count):
+            raise ValueError("geometry must be an ArrayGeometry with one element per sample row")
         if not np.all(np.isfinite(s)):
             raise ValueError("samples must be finite")
-        for name in ("fs", "f0", "c"):
+        for name in ("fs", "f0"):
             _require_finite_positive(name, getattr(self, name))
         if not self.fs > 2.0 * self.f0:
             raise ValueError("fs must exceed 2 * f0")
@@ -43,6 +43,10 @@ class RfFrame:
         padded.flags.writeable = False
         object.__setattr__(self, "_padded", padded)
         object.__setattr__(self, "samples", padded[:, 1:-2])
+
+    @property
+    def c(self) -> float:
+        return self.geometry.sound_speed
 
     @property
     def element_count(self) -> int:

@@ -230,8 +230,8 @@ def synthesize_rf(
     Returns
     -------
     RfFrame
-        The sample count covers the deepest possible round trip plus the
-        pulse length.
+        Recorded by ``geometry``; the sample count covers the deepest
+        possible round trip plus the pulse length.
     """
     scatterers = phantom.scatterers
     if scatterers.shape[0] == 0:
@@ -261,7 +261,7 @@ def synthesize_rf(
             samples[i] = np.convolve(train, p)[:k_count]
 
     distribute(m, fill)
-    return RfFrame(samples=samples, fs=float(fs), f0=pulse.f0, c=c)
+    return RfFrame(samples=samples, fs=float(fs), f0=pulse.f0, geometry=geometry)
 
 
 def signal_power(samples: np.ndarray) -> float:
@@ -291,4 +291,4 @@ def add_noise(frame: RfFrame, spec: NoiseSpec) -> RfFrame:
     sigma = math.sqrt(power / ratio)
     rng = np.random.default_rng(spec.seed)
     noisy = frame.samples + sigma * rng.standard_normal(frame.samples.shape)
-    return RfFrame(samples=noisy, fs=frame.fs, f0=frame.f0, c=frame.c)
+    return RfFrame(samples=noisy, fs=frame.fs, f0=frame.f0, geometry=frame.geometry)

@@ -285,8 +285,8 @@ class TestBeamformImage:
     @pytest.fixture()
     def scene(self):
         rng = np.random.default_rng(12)
-        frame = RfFrame(samples=rng.normal(size=(8, 200)), fs=100e6, f0=3e6, c=1540.0)
         geom = linear_array(8, 0.3e-3)
+        frame = RfFrame(samples=rng.normal(size=(8, 200)), fs=100e6, f0=3e6, geometry=geom)
         grid = ImageGrid(x_min=-1e-3, x_max=1e-3, z_min=0.5e-3, z_max=1.4e-3, nx=5, nz=7)
         delays = compute_delays(geom, grid, frame.fs)
         return frame, delays
@@ -328,21 +328,36 @@ class TestBeamformImage:
 
     def test_rejects_mismatched_frame(self, scene):
         _, delays = scene
-        other = RfFrame(samples=np.zeros((5, 50)), fs=100e6, f0=3e6, c=1540.0)
+        other = RfFrame(samples=np.zeros((5, 50)), fs=100e6, f0=3e6, geometry=linear_array(5, 0.3e-3))
         with pytest.raises(ValueError):
             beamform_image(other, delays, BeamformerKind.DAS)
 
     def test_rejects_mismatched_sampling_rate(self, scene):
         frame, delays = scene
-        slower = RfFrame(samples=frame.samples, fs=50e6, f0=3e6, c=1540.0)
+        slower = RfFrame(samples=frame.samples, fs=50e6, f0=3e6, geometry=frame.geometry)
         with pytest.raises(ValueError, match=r"fs=1e\+08 Hz, frame sampled at fs=5e\+07 Hz"):
             beamform_image(slower, delays, BeamformerKind.DAS)
 
     def test_rejects_mismatched_sound_speed(self, scene):
         frame, delays = scene
         slow = compute_delays(linear_array(8, 0.3e-3, sound_speed=1400.0), delays.grid, frame.fs)
-        with pytest.raises(ValueError, match="c=1400 m/s, frame recorded at c=1540 m/s"):
+        with pytest.raises(ValueError, match=r"sound_speed=1400\.0\), frame recorded by .*sound_speed=1540\.0\)$"):
             beamform_image(frame, slow, BeamformerKind.DAS)
+
+    def test_rejects_a_table_for_another_pitch_before_any_gather(self, scene, monkeypatch):
+        frame, delays = scene
+        narrow = compute_delays(linear_array(8, 0.2e-3), delays.grid, frame.fs)
+        calls = []
+        monkeypatch.setattr(beamformers, "fetch_delayed", lambda *args: calls.append(args))
+        with pytest.raises(
+            ValueError,
+            match=re.escape(
+                "delay table built for ArrayGeometry(element_count=8, pitch=0.0002, sound_speed=1540.0), "
+                "frame recorded by ArrayGeometry(element_count=8, pitch=0.0003, sound_speed=1540.0)"
+            ),
+        ):
+            beamform_image(frame, narrow, BeamformerKind.DAS)
+        assert calls == []
 
     @pytest.fixture()
     def single_column_scene(self, scene):
@@ -404,8 +419,8 @@ class TestBeamformImage:
         assert len(calls) == delays.grid.nx
 
     def test_propagates_kernel_preconditions(self):
-        frame = RfFrame(samples=np.zeros((2, 50)), fs=100e6, f0=3e6, c=1540.0)
         geom = linear_array(2, 0.3e-3)
+        frame = RfFrame(samples=np.zeros((2, 50)), fs=100e6, f0=3e6, geometry=geom)
         grid = ImageGrid(x_min=0.0, x_max=0.0, z_min=1e-3, z_max=1e-3, nx=1, nz=1)
         delays = compute_delays(geom, grid, frame.fs)
         with pytest.raises(ValueError):

@@ -28,6 +28,7 @@ from usbeam import (
     PulseModel,
     beamformers,
     compute_delays,
+    containers,
     linear_array,
     pipeline,
     rfmodel,
@@ -171,3 +172,17 @@ def test_gather_of_one_table_column_is_an_element_block(tiny):
     frame, delays, grid = tiny
     block = rfmodel.fetch_delayed(frame, delays.values[:, 1, :])
     assert block.shape == (grid.nz, frame.element_count)
+
+
+def test_rf_reader_returns_the_frame_and_its_pitch(tiny, tmp_path):
+    # the cli-default gather replay unpacks ``frame, pitch = read_rf(path)``
+    # and rebuilds the array from the pitch, frame.c and frame.element_count,
+    # then reads frame.fs
+    frame, _, _ = tiny
+    path = str(tmp_path / "tiny.urf")
+    containers.write_rf(path, frame)
+    result = containers.read_rf(path)
+    assert isinstance(result, tuple) and len(result) == 2
+    loaded, pitch = result
+    assert pitch == frame.geometry.pitch
+    assert (loaded.c, loaded.fs, loaded.element_count) == (frame.c, frame.fs, frame.element_count)

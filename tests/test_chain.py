@@ -51,11 +51,11 @@ def frames(draw):
 
 
 def with_samples(frame, samples):
-    return RfFrame(samples=samples, fs=frame.fs, f0=frame.f0, c=frame.c)
+    return RfFrame(samples=samples, fs=frame.fs, f0=frame.f0, geometry=frame.geometry)
 
 
 def envelope(frame, kind):
-    return reconstruct_envelope(frame, GEOMETRY, GRID, kind)[0]
+    return reconstruct_envelope(frame, GRID, kind)[0]
 
 
 def mirror_mismatch(frame, kind):

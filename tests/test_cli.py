@@ -172,7 +172,30 @@ class TestBeamform:
         bad.write_bytes(bytes(raw))
         assert run(["beamform", str(bad), "--algo", "das", *GRID_FLAGS,
                     "--out", str(tmp_path / "x.uim")]) == 1
-        assert "c must be finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {bad}: sound_speed must be finite and positive, got inf\n"
+
+    def test_non_finite_sample_is_named_with_the_file(self, wire_rf, tmp_path, capsys):
+        with open(wire_rf, "rb") as fh:
+            raw = bytearray(fh.read())
+        raw[64 + 4 * 100 : 64 + 4 * 101] = struct.pack("<f", np.nan)  # sample 100 of channel 0
+        bad = tmp_path / "nan_sample.urf"
+        bad.write_bytes(bytes(raw))
+        out = tmp_path / "x.uim"
+        assert run(["beamform", str(bad), "--algo", "das", *GRID_FLAGS, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: samples must be finite\n"
+        assert not out.exists()
+
+    def test_one_element_array_beamforms_with_das_only(self, tmp_path, capsys):
+        rf = str(tmp_path / "m1.urf")
+        assert run(["simulate", "--phantom", "custom", "--custom-scatterers", "0,15,1",
+                    "--elements", "1", "--snr-db", "400", "--out", rf]) == 0
+        assert run(["beamform", rf, "--algo", "das", *GRID_FLAGS,
+                    "--out", str(tmp_path / "das.uim")]) == 0
+        capsys.readouterr()
+        out = tmp_path / "dmas.uim"
+        assert run(["beamform", rf, "--algo", "dmas", *GRID_FLAGS, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: DMAS needs at least 2 elements\n"
+        assert not out.exists()
 
     def test_grid_above_array_face_is_named(self, wire_rf, tmp_path, capsys):
         flags = [f for f in GRID_FLAGS if not f.startswith("--z-min")]

@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from usbeam import DbImage, ImageGrid, RfFrame, containers
+from usbeam import ArrayGeometry, DbImage, ImageGrid, RfFrame, containers, linear_array
 from usbeam.containers import (
     atomic_write,
     db_to_gray,
@@ -22,36 +23,36 @@ from usbeam.containers import (
 @pytest.fixture()
 def frame():
     rng = np.random.default_rng(17)
-    return RfFrame(samples=rng.normal(size=(6, 500)), fs=100e6, f0=3e6, c=1540.0)
+    return RfFrame(samples=rng.normal(size=(6, 500)), fs=100e6, f0=3e6, geometry=linear_array(6, 0.3e-3))
 
 
 class TestRfContainer:
     def test_round_trip(self, frame, tmp_path):
         path = str(tmp_path / "frame.urf")
-        write_rf(path, frame, pitch=0.3e-3)
+        write_rf(path, frame)
         loaded, pitch = read_rf(path)
         assert pitch == 0.3e-3
-        assert (loaded.fs, loaded.f0, loaded.c) == (frame.fs, frame.f0, frame.c)
+        assert (loaded.fs, loaded.f0, loaded.geometry) == (frame.fs, frame.f0, frame.geometry)
         # float32 quantization applied exactly once at write time
         assert np.array_equal(loaded.samples, frame.samples.astype("<f4").astype(float))
 
     def test_rewrite_is_stable(self, frame, tmp_path):
         first = str(tmp_path / "a.urf")
         second = str(tmp_path / "b.urf")
-        write_rf(first, frame, pitch=0.3e-3)
-        loaded, pitch = read_rf(first)
-        write_rf(second, loaded, pitch=pitch)
+        write_rf(first, frame)
+        loaded, _ = read_rf(first)
+        write_rf(second, loaded)
         assert (tmp_path / "a.urf").read_bytes() == (tmp_path / "b.urf").read_bytes()
 
     def test_file_size_64x6000(self, tmp_path):
-        frame = RfFrame(samples=np.zeros((64, 6000)), fs=100e6, f0=3e6, c=1540.0)
+        frame = RfFrame(samples=np.zeros((64, 6000)), fs=100e6, f0=3e6, geometry=linear_array(64, 0.3e-3))
         path = tmp_path / "size.urf"
-        write_rf(str(path), frame, pitch=0.3e-3)
+        write_rf(str(path), frame)
         assert path.stat().st_size == 64 + 4 * 64 * 6000 == 1_536_064
 
     def test_bad_magic_rejected(self, frame, tmp_path):
         path = tmp_path / "bad.urf"
-        write_rf(str(path), frame, pitch=0.3e-3)
+        write_rf(str(path), frame)
         raw = bytearray(path.read_bytes())
         raw[:4] = b"XXXX"
         path.write_bytes(bytes(raw))
@@ -60,7 +61,7 @@ class TestRfContainer:
 
     def test_bad_version_rejected(self, frame, tmp_path):
         path = tmp_path / "ver.urf"
-        write_rf(str(path), frame, pitch=0.3e-3)
+        write_rf(str(path), frame)
         raw = bytearray(path.read_bytes())
         raw[4:6] = (99).to_bytes(2, "little")
         path.write_bytes(bytes(raw))
@@ -69,10 +70,69 @@ class TestRfContainer:
 
     def test_truncated_rejected(self, frame, tmp_path):
         path = tmp_path / "trunc.urf"
-        write_rf(str(path), frame, pitch=0.3e-3)
+        write_rf(str(path), frame)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError, match="size"):
             read_rf(str(path))
+
+
+    # header offsets: c at byte 28, pitch at 36; the float32 samples start at 64
+    @pytest.mark.parametrize("offset,packed,message", [
+        (36, struct.pack("<d", np.nan), "pitch must be finite and positive, got nan"),
+        (28, struct.pack("<d", 0.0), "sound_speed must be finite and positive, got 0.0"),
+        (64 + 4 * 7, struct.pack("<f", np.nan), "samples must be finite"),
+    ], ids=["pitch", "sound_speed", "sample"])
+    def test_reader_names_the_file(self, frame, tmp_path, offset, packed, message):
+        path = tmp_path / "bad.urf"
+        write_rf(str(path), frame)
+        raw = bytearray(path.read_bytes())
+        raw[offset : offset + len(packed)] = packed
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
+            read_rf(str(path))
+
+
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+# Above float32's maximum, yet below the midpoint to the next power of two,
+# so the cast rounds it to the maximum.
+NEAR_FLOAT32_MAX = FLOAT32_MAX * (1.0 + 2.0**-26)
+
+
+def with_sample(frame, value):
+    samples = frame.samples.copy()
+    samples[2, 7] = value
+    return RfFrame(samples=samples, fs=frame.fs, f0=frame.f0, geometry=frame.geometry)
+
+
+def image_with_pixel(value):
+    grid = ImageGrid(x_min=0.0, x_max=1e-3, z_min=1e-3, z_max=2e-3, nx=2, nz=2)
+    image = np.ones((2, 2))
+    image[1, 0] = value
+    return image, grid
+
+
+class TestWritersRefuseWhatTheirReadersReject:
+    @pytest.mark.parametrize("value", [1e39, -1e39])
+    def test_rf_sample_outside_float32(self, frame, tmp_path, value):
+        path = tmp_path / "big.urf"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: values must be finite in float32$"):
+            write_rf(str(path), with_sample(frame, value))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", [1e39, -1e39, np.nan])
+    def test_image_pixel_outside_float32(self, tmp_path, value):
+        path = tmp_path / "big.uim"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: values must be finite in float32$"):
+            write_image(str(path), *image_with_pixel(value))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_values_that_round_to_the_float32_maximum_stay_writable(self, frame, tmp_path, sign):
+        rf, image = str(tmp_path / "max.urf"), str(tmp_path / "max.uim")
+        write_rf(rf, with_sample(frame, sign * NEAR_FLOAT32_MAX))
+        write_image(image, *image_with_pixel(sign * NEAR_FLOAT32_MAX))
+        assert read_rf(rf)[0].samples[2, 7] == sign * FLOAT32_MAX
+        assert read_image(image)[0][1, 0] == sign * FLOAT32_MAX
 
 
 class TestImageContainer:
@@ -93,7 +153,7 @@ class TestImageContainer:
 
     def test_wrong_magic_rejected(self, frame, tmp_path):
         path = str(tmp_path / "cross.urf")
-        write_rf(path, frame, pitch=0.3e-3)
+        write_rf(path, frame)
         with pytest.raises(ValueError, match="magic"):
             read_image(path)
 
@@ -106,13 +166,13 @@ sizes = st.integers(1, 6)
 @st.composite
 def rf_frames(draw):
     f0 = draw(st.floats(1e3, 1e8))
-    frame = RfFrame(
-        samples=draw(arrays(float, (draw(sizes), draw(st.integers(1, 12))), elements=values)),
+    m = draw(sizes)
+    return RfFrame(
+        samples=draw(arrays(float, (m, draw(st.integers(1, 12))), elements=values)),
         fs=f0 * draw(st.floats(2.001, 100.0)),
         f0=f0,
-        c=draw(st.floats(1.0, 1e4)),
+        geometry=ArrayGeometry(m, draw(st.floats(1e-6, 1e-2)), draw(st.floats(1.0, 1e4))),
     )
-    return frame, draw(st.floats(1e-6, 1e-2))
 
 
 @st.composite
@@ -130,9 +190,9 @@ def images(draw):
 
 
 def written(path, item):
-    """Write an RF (frame, pitch) or an (image, grid) pair; returns the reader."""
-    if isinstance(item[0], RfFrame):
-        write_rf(path, *item)
+    """Write an RF frame or an (image, grid) pair; returns the reader."""
+    if isinstance(item, RfFrame):
+        write_rf(path, item)
         return read_rf
     write_image(path, *item)
     return read_image
@@ -155,13 +215,13 @@ def assert_reads_finite_or_raises_value_error(read, path):
 class TestContainerProperties:
     @property_settings
     @given(rf_frames())
-    def test_rf_round_trip_is_float32_quantization(self, tmp_path_factory, item):
+    def test_rf_round_trip_is_float32_quantization(self, tmp_path_factory, drawn):
         path = str(tmp_path_factory.mktemp("rf") / "f.urf")
-        frame, pitch = item
-        write_rf(path, frame, pitch)
+        write_rf(path, drawn)
         loaded, loaded_pitch = read_rf(path)
-        assert (loaded.fs, loaded.f0, loaded.c, loaded_pitch) == (frame.fs, frame.f0, frame.c, pitch)
-        assert np.array_equal(loaded.samples, frame.samples.astype("<f4").astype(float))
+        assert (loaded.fs, loaded.f0, loaded.geometry) == (drawn.fs, drawn.f0, drawn.geometry)
+        assert loaded_pitch == drawn.geometry.pitch
+        assert np.array_equal(loaded.samples, drawn.samples.astype("<f4").astype(float))
 
     @property_settings
     @given(images())

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from usbeam import ArrayGeometry, FilterSpec, ImageGrid, PulseModel, compute_delays, linear_array
+from usbeam import ArrayGeometry, FilterSpec, ImageGrid, NoiseSpec, PulseModel, compute_delays, linear_array
 
 
 def test_linear_array_centered_and_uniform():
@@ -18,8 +18,13 @@ def test_geometry_derives_centred_positions():
 
 
 def test_geometry_rejects_too_few_elements():
-    with pytest.raises(ValueError):
-        linear_array(1, 0.3e-3)
+    with pytest.raises(ValueError, match="^element_count must be an integer >= 1, got 0$"):
+        linear_array(0, 0.3e-3)
+
+
+def test_geometry_accepts_one_element():
+    # each beamformer's minimum aperture is op_count's rule, not the array's
+    assert np.array_equal(linear_array(1, 0.3e-3).element_x, [0.0])
 
 
 def test_geometry_rejects_bad_sound_speed():
@@ -59,6 +64,14 @@ def test_counts_must_be_integers(field, value):
 @pytest.mark.parametrize("value", [5, np.int32(5), np.int64(5), np.uint16(5)])
 def test_counts_accept_python_and_numpy_integers(field, value):
     COUNTS[field](value)
+
+
+@pytest.mark.parametrize("field", [*COUNTS, "seed"])
+@pytest.mark.parametrize("value", [True, False, np.True_])
+def test_counts_and_seeds_reject_bools(field, value):
+    build = COUNTS.get(field, lambda n: NoiseSpec(target_snr_db=10.0, seed=n))
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
+        build(value)
 
 
 @pytest.mark.parametrize(

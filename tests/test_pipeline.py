@@ -34,7 +34,7 @@ def test_from_delays_matches_one_call_on_an_equal_grid(scene):
     delays = compute_delays(geom, grid, FS)
     same = ImageGrid(x_min=-1e-3, x_max=1e-3, z_min=30e-3, z_max=36e-3, nx=5, nz=300)
     env, _ = reconstruct_envelope_from_delays(frame, delays, same, BeamformerKind.DAS)
-    assert np.array_equal(env, reconstruct_envelope(frame, geom, grid, BeamformerKind.DAS)[0])
+    assert np.array_equal(env, reconstruct_envelope(frame, grid, BeamformerKind.DAS)[0])
 
 
 def test_from_delays_rejects_a_grid_other_than_the_delays(scene):
@@ -53,12 +53,12 @@ def test_from_delays_rejects_a_grid_other_than_the_delays(scene):
     (30.2e-3, 40, "fewer axial samples than filter taps"),
 ], ids=["nyquist", "length"])
 def test_filter_band_is_checked_before_beamforming(scene, monkeypatch, z_max, nz, message):
-    frame, geom, _ = scene
+    frame, _, _ = scene
     calls = []
     monkeypatch.setattr(pipeline, "beamform_image", lambda *args: calls.append(args))
     grid = ImageGrid(x_min=-1e-3, x_max=1e-3, z_min=30e-3, z_max=z_max, nx=5, nz=nz)
     with pytest.raises(ValueError, match=message):
-        reconstruct_envelope(frame, geom, grid, BeamformerKind.DMAS)
+        reconstruct_envelope(frame, grid, BeamformerKind.DMAS)
     assert calls == []
 
 
@@ -75,7 +75,7 @@ def test_default_filter_rejects_a_zero_center(kind):
 # both stages through them.
 @pytest.mark.parametrize("kind", list(BeamformerKind))
 def test_reconstruction_calls_each_post_stage_once_through_the_pipeline_module(scene, monkeypatch, kind):
-    frame, geom, grid = scene
+    frame, _, grid = scene
     calls = {"bandpass_image": 0, "envelope_image": 0}
 
     def counting(name):
@@ -89,7 +89,7 @@ def test_reconstruction_calls_each_post_stage_once_through_the_pipeline_module(s
 
     for name in calls:
         monkeypatch.setattr(pipeline, name, counting(name))
-    reconstruct_envelope(frame, geom, grid, kind)
+    reconstruct_envelope(frame, grid, kind)
     assert calls == {"bandpass_image": 1, "envelope_image": 1}
 
 

@@ -4,11 +4,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from usbeam import RfFrame, fetch_delayed, signed_sqrt
+from usbeam import ArrayGeometry, RfFrame, fetch_delayed, linear_array, signed_sqrt
 
 
 def make_frame(samples, fs=100e6, f0=3e6, c=1540.0):
-    return RfFrame(samples=np.asarray(samples, dtype=float), fs=fs, f0=f0, c=c)
+    """A frame recorded by a 0.3 mm-pitch array with one element per row."""
+    samples = np.asarray(samples, dtype=float)
+    return RfFrame(samples=samples, fs=fs, f0=f0, geometry=linear_array(len(samples), 0.3e-3, c))
 
 
 def test_frame_validation():
@@ -21,14 +23,35 @@ def test_frame_validation():
 
 
 def test_frame_rejects_zero_elements():
-    with pytest.raises(ValueError, match="at least one element"):
-        make_frame(np.zeros((0, 8)))
+    with pytest.raises(ValueError, match="one element per sample row"):
+        RfFrame(samples=np.zeros((0, 8)), fs=100e6, f0=3e6, geometry=linear_array(1, 0.3e-3))
+
+
+@pytest.mark.parametrize("rows,elements", [(3, 4), (4, 3), (1, 2)])
+def test_frame_rejects_an_array_of_another_element_count(rows, elements):
+    with pytest.raises(ValueError, match="^geometry must be an ArrayGeometry with one element per sample row$"):
+        RfFrame(samples=np.zeros((rows, 8)), fs=100e6, f0=3e6, geometry=linear_array(elements, 0.3e-3))
+
+
+@pytest.mark.parametrize("geometry", [None, 1540.0, (2, 0.3e-3, 1540.0)])
+def test_frame_rejects_a_geometry_that_is_not_an_array(geometry):
+    with pytest.raises(ValueError, match="^geometry must be an ArrayGeometry"):
+        RfFrame(samples=np.zeros((2, 8)), fs=100e6, f0=3e6, geometry=geometry)
+
+
+def test_frame_sound_speed_is_its_arrays():
+    frame = RfFrame(samples=np.zeros((3, 8)), fs=100e6, f0=3e6, geometry=ArrayGeometry(3, 0.3e-3, 1480.0))
+    assert frame.c == 1480.0
+    with pytest.raises(AttributeError):
+        frame.c = 1540.0
 
 
 @pytest.mark.parametrize("field", ["fs", "f0", "c"])
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 def test_frame_rejects_non_finite_metadata(field, value):
-    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+    # the frame states the rules for fs and f0, its array the one for c
+    name = "sound_speed" if field == "c" else field
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
         make_frame(np.zeros((2, 8)), **{field: value})
 
 

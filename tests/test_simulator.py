@@ -301,6 +301,13 @@ class TestSynthesize:
         frame = synthesize_rf(point_phantom(0.0, z), geom, PULSE, FS)
         assert frame.sample_count >= FS * 2 * z / 1540.0
 
+    def test_frame_carries_the_array_through_noise(self):
+        geom = linear_array(4, 0.2e-3, sound_speed=1480.0)
+        clean = synthesize_rf(point_phantom(0.0, 20e-3), geom, PULSE, FS)
+        noisy = add_noise(clean, NoiseSpec(target_snr_db=10.0, seed=1))
+        assert clean.geometry is geom and noisy.geometry is geom
+        assert noisy.c == 1480.0
+
 
 @pytest.fixture(scope="module")
 def frame():
@@ -346,6 +353,6 @@ class TestNoise:
     def test_rejects_all_zero_frame(self):
         from usbeam import RfFrame
 
-        silent = RfFrame(samples=np.zeros((4, 100)), fs=FS, f0=3e6, c=1540.0)
+        silent = RfFrame(samples=np.zeros((4, 100)), fs=FS, f0=3e6, geometry=linear_array(4, 0.3e-3))
         with pytest.raises(ValueError):
             add_noise(silent, NoiseSpec(target_snr_db=10.0))

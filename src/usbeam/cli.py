@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 
 import numpy as np
 
 from . import containers
 from .beamformers import BeamformerKind
-from .config import RunConfig, apply_overrides, load_config
-from .dsp import log_compress
+from .config import RunConfig, load_config
+from .dsp import FilterSpec, log_compress
 from .geometry import ImageGrid, linear_array
 from .metrics import LateralProfile, RegionSpec, cr, fwhm, lateral_profile, sidelobe_level, snr_region
 from .pipeline import default_filter, reconstruct_envelope
@@ -31,8 +30,6 @@ from .simulator import (
     signal_power,
     synthesize_rf,
 )
-
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
 # Dynamic range used when metrics need a dB profile; deep enough that the
 # floor never clips a measurable feature.
@@ -72,25 +69,8 @@ def build_phantom(cfg: RunConfig) -> Phantom:
     raise ValueError(f"unknown phantom {cfg.phantom!r} (wires, cysts, tumor or custom)")
 
 
-def _grid_from(cfg: RunConfig) -> ImageGrid:
-    return ImageGrid(
-        x_min=cfg.x_min, x_max=cfg.x_max, z_min=cfg.z_min, z_max=cfg.z_max, nx=cfg.nx, nz=cfg.nz
-    )
-
-
-def _config_from(args) -> RunConfig:
-    """The config file's values, overridden by every parsed flag whose
-    dest names a RunConfig field.
-
-    Nothing is checked here: each value is checked by the library object
-    that uses it, before that object does any work.
-    """
-    cfg = load_config(args.config)
-    return apply_overrides(cfg, {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS})
-
-
 def cmd_simulate(args) -> int:
-    cfg = _config_from(args)
+    cfg = load_config(args.config, vars(args))
     noise = NoiseSpec(target_snr_db=cfg.snr_db, seed=cfg.seed)
     geometry = linear_array(cfg.elements, cfg.pitch, cfg.c)
     containers.check_rf_elements(geometry.element_count)
@@ -114,15 +94,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_beamform(args) -> int:
-    cfg = _config_from(args)
+    cfg = load_config(args.config, vars(args))
     frame, _pitch = containers.read_rf(args.rf_path)
     kind = BeamformerKind(args.algo)
-    grid = _grid_from(cfg)
+    grid = ImageGrid(cfg.x_min, cfg.x_max, cfg.z_min, cfg.z_max, cfg.nx, cfg.nz)
     containers.check_image_grid(grid)
-    spec = default_filter(
-        kind, frame.f0, taps=cfg.filter_taps,
-        half_bandwidth=cfg.filter_half_bandwidth, center=cfg.filter_center or None,
-    )
+    # A filter center of 0 selects the kernel's band center.
+    spec = FilterSpec(cfg.filter_center or default_filter(kind, frame.f0).center,
+                      cfg.filter_half_bandwidth, cfg.filter_taps)
     env, ops = reconstruct_envelope(frame, grid, kind, filter_spec=spec)
     containers.write_image(args.out, env, grid)
     lines = [
@@ -150,7 +129,7 @@ def cmd_beamform(args) -> int:
 
 
 def cmd_render(args) -> int:
-    cfg = _config_from(args)
+    cfg = load_config(args.config, vars(args))
     env, _grid = containers.read_image(args.image_path)
     gray = containers.db_to_gray(log_compress(env, cfg.dynamic_range))
     containers.write_pgm(args.out, gray)
@@ -227,7 +206,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    cfg = _config_from(args)
+    cfg = load_config(args.config, vars(args))
     env, grid = containers.read_image(args.image_path)
     db_image = log_compress(env, cfg.dynamic_range)
     profile = lateral_profile(db_image, args.depth_mm * 1e-3, grid)

@@ -46,44 +46,32 @@ class RunConfig:
     dynamic_range: float = 70.0
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_FIELDS = {f.name for f in fields(RunConfig)}
 
 
-def _coerce(name: str, text: str):
-    kind = _FIELD_TYPES[name]
-    if kind == "int":
-        return int(text)
-    if kind == "float":
-        return float(text)
-    return text
+def load_config(path: str | None, overrides: dict) -> RunConfig:
+    """Build a RunConfig from the defaults, then an optional key=value file,
+    then the non-None ``overrides`` whose keys name a field; overrides win.
 
-
-def load_config(path: str | None) -> RunConfig:
-    """Build a RunConfig from defaults plus an optional key=value file."""
+    A file value takes the type of its field's default.
+    """
     cfg = RunConfig()
-    if path is None:
-        return cfg
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _FIELD_TYPES:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                setattr(cfg, key, _coerce(key, value))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    return cfg
-
-
-def apply_overrides(cfg: RunConfig, overrides: dict) -> RunConfig:
-    """Apply non-None flag values, keyed by RunConfig field name, onto a
-    config; flags win."""
+    if path is not None:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+                key, value = (part.strip() for part in line.split("=", 1))
+                if key not in _FIELDS:
+                    raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+                try:
+                    setattr(cfg, key, type(getattr(cfg, key))(value))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     for key, value in overrides.items():
-        if value is not None:
+        if key in _FIELDS and value is not None:
             setattr(cfg, key, value)
     return cfg

@@ -178,7 +178,7 @@ def _block_envelope(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.abs(analytic[: block.shape[0], :])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DbImage:
     """Log-compressed image in dB relative to its own maximum.
 

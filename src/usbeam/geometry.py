@@ -92,6 +92,8 @@ class ImageGrid:
     def dz(self) -> float:
         if self.nz < 2:
             raise ValueError("axial spacing is undefined for a single-row grid")
+        if self.z_max == self.z_min:
+            raise ValueError("axial spacing is undefined for a zero-height grid")
         return (self.z_max - self.z_min) / (self.nz - 1)
 
 

@@ -89,7 +89,7 @@ def cr(image, cyst: RegionSpec, background: RegionSpec, grid: ImageGrid) -> floa
     return 20.0 * np.log10(mu_cyst / mu_bck)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LateralProfile:
     """Lateral cut through an image at one depth.
 

@@ -16,22 +16,16 @@ def axial_sample_rate(grid: ImageGrid, c: float) -> float:
     return c / (2.0 * grid.dz)
 
 
-def default_filter(kind: BeamformerKind, f0: float, taps: int = 63,
-                   half_bandwidth: float | None = None,
-                   center: float | None = None) -> FilterSpec:
-    """Post-beamforming band-pass for a kernel.
+def default_filter(kind: BeamformerKind, f0: float) -> FilterSpec:
+    """The post-beamforming band-pass for a kernel.
 
     The pairwise-product beamformers shift the signal band to twice the
     center frequency, so their filter sits at 2 f0; plain DAS keeps the
-    fundamental and is filtered at f0 for a comparable envelope; that is
-    the center ``center=None`` selects. Passband half-width defaults to
-    f0 / 2.
+    fundamental and is filtered at f0 for a comparable envelope. The
+    passband half-width is f0 / 2, over 63 taps.
     """
-    if half_bandwidth is None:
-        half_bandwidth = 0.5 * f0
-    if center is None:
-        center = f0 if kind is BeamformerKind.DAS else 2.0 * f0
-    return FilterSpec(center=center, half_bandwidth=half_bandwidth, taps=taps)
+    center = f0 if kind is BeamformerKind.DAS else 2.0 * f0
+    return FilterSpec(center=center, half_bandwidth=0.5 * f0, taps=63)
 
 
 def reconstruct_envelope(

@@ -9,7 +9,7 @@ import numpy as np
 from .geometry import ArrayGeometry, _require_finite_positive
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RfFrame:
     """Raw channel data plus acquisition metadata.
 
@@ -24,7 +24,7 @@ class RfFrame:
     fs: float
     f0: float
     geometry: ArrayGeometry
-    _padded: np.ndarray = field(init=False, repr=False, compare=False)
+    _padded: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=float)

@@ -40,7 +40,7 @@ class NoiseSpec:
         _require_count("seed", self.seed, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Phantom:
     """Scene description: scatterers[:, (x, z, amplitude)] plus the
     bounding box that the scatterers must lie in."""

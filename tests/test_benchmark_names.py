@@ -109,6 +109,17 @@ def test_attributes_and_kind_values():
         assert hasattr(RunConfig, field)
 
 
+def test_run_config_defaults_build_the_oracles_grid_and_band():
+    # the cli-default check builds the grid and each kind's band from
+    # RunConfig()'s defaults, so they must stay values, not None
+    cfg = RunConfig()
+    grid = ImageGrid(cfg.x_min, cfg.x_max, cfg.z_min, cfg.z_max, cfg.nx, cfg.nz)
+    for kind in BeamformerKind:
+        f0_or_2f0 = cfg.f0 if kind.value == "das" else 2.0 * cfg.f0
+        spec = FilterSpec(cfg.filter_center or f0_or_2f0, cfg.filter_half_bandwidth, cfg.filter_taps)
+        spec.validate_line(grid.nz, pipeline.axial_sample_rate(grid, cfg.c))
+
+
 def test_acceptance_suite_names_resolve():
     spec = importlib.util.spec_from_file_location(
         "acceptance_names", Path(__file__).with_name("test_acceptance.py")

@@ -205,6 +205,36 @@ class TestBeamform:
         assert "z_min must be positive (imaging starts below the array face)" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_height_grid_is_named(self, wire_rf, tmp_path, capsys):
+        flags = [f for f in GRID_FLAGS if not f.startswith(("--z-", "--nz"))]
+        out = tmp_path / "x.uim"
+        assert run(["beamform", wire_rf, "--algo", "das", *flags, "--z-min=30e-3",
+                    "--z-max=30e-3", "--nz=100", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: axial spacing is undefined for a zero-height grid\n"
+        assert not out.exists()
+
+    # The band-pass is the kernel's band (f0 for DAS, 2 f0 for the product
+    # kernels, f0 / 2 wide, 63 taps) unless set; a center of 0 selects the
+    # kernel's band center.
+    @pytest.mark.parametrize("algo", ["das", "dmas", "dsdmas"])
+    def test_report_states_the_filter_band(self, algo, wire_rf, tmp_path, capsys):
+        def beamform(name, *flags):
+            out = tmp_path / f"{name}.uim"
+            assert run(["beamform", wire_rf, "--algo", algo, *GRID_FLAGS, *flags,
+                        "--out", str(out)]) == 0
+            report = capsys.readouterr().out
+            band = [line for line in report.splitlines() if line.startswith("filter_")]
+            return band, report, out.read_bytes()
+
+        center = "3000000.0" if algo == "das" else "6000000.0"
+        default = beamform("default")
+        assert default[0] == [f"filter_center_hz={center}", "filter_half_bandwidth_hz=1500000.0",
+                              "filter_taps=63"]
+        assert beamform("auto", "--filter-center", "0") == default
+        assert beamform("set", "--filter-center", "5e6", "--filter-half-bw", "1e6",
+                        "--filter-taps", "31")[0] == [
+            "filter_center_hz=5000000.0", "filter_half_bandwidth_hz=1000000.0", "filter_taps=31"]
+
     def test_missing_rf_file_is_runtime_error(self, tmp_path):
         assert run(["beamform", str(tmp_path / "nope.urf"), "--algo", "das",
                     "--out", str(tmp_path / "x.uim")]) == 1
@@ -516,6 +546,19 @@ class TestConfig:
         cfg.write_text(line + "\n")
         assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.urf")]) == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    # a file value takes the type of its field's default
+    @pytest.mark.parametrize("key,value,reason", [
+        ("elements", "8.5", "invalid literal for int() with base 10: '8.5'"),
+        ("fs", "fast", "could not convert string to float: 'fast'"),
+    ], ids=["int", "float"])
+    def test_unparseable_value_names_the_line(self, key, value, reason, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# run\n{key} = {value}\n")
+        out = tmp_path / "x.urf"
+        assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:2: bad value for {key}: {reason}\n"
+        assert not out.exists()
 
     def test_invalid_value_fails(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -97,6 +97,15 @@ def test_grid_rejects_non_finite_extents(field, value):
         ImageGrid(**kwargs)
 
 
+# A single-depth grid has no axial spacing whatever its row count; the
+# axial sample rate of the band-pass would divide by it.
+@pytest.mark.parametrize("z_max,nz", [(2e-3, 1), (1e-3, 100)], ids=["one-row", "zero-height"])
+def test_grid_without_axial_extent_has_no_spacing(z_max, nz):
+    grid = ImageGrid(x_min=-1e-3, x_max=1e-3, z_min=1e-3, z_max=z_max, nx=2, nz=nz)
+    with pytest.raises(ValueError, match="axial spacing is undefined"):
+        grid.dz
+
+
 def test_delays_on_axis_round_trip():
     # pixel directly above an element: transmit and receive paths are both z/c
     geom = linear_array(3, 1e-4)

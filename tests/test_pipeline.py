@@ -5,6 +5,7 @@ import pytest
 
 from usbeam import (
     BeamformerKind,
+    FilterSpec,
     ImageGrid,
     Phantom,
     PulseModel,
@@ -62,12 +63,13 @@ def test_filter_band_is_checked_before_beamforming(scene, monkeypatch, z_max, nz
     assert calls == []
 
 
-# The "0 means auto" filter center is a CLI convention; the library selects
-# the kind's band center only for center=None.
-@pytest.mark.parametrize("kind", list(BeamformerKind))
-def test_default_filter_rejects_a_zero_center(kind):
-    with pytest.raises(ValueError, match="^center must be finite and positive, got 0.0$"):
-        default_filter(kind, 3e6, center=0.0)
+# DMAS and DS-DMAS move the signal band to 2 f0, so their band-pass sits
+# there; DAS keeps f0. The library states that one band, with no options.
+@pytest.mark.parametrize("kind,center", [
+    (BeamformerKind.DAS, 3e6), (BeamformerKind.DMAS, 6e6), (BeamformerKind.DSDMAS, 6e6),
+])
+def test_default_filter_is_the_kinds_band(kind, center):
+    assert default_filter(kind, 3e6) == FilterSpec(center=center, half_bandwidth=1.5e6, taps=63)
 
 
 # The benchmark's traced run times the band-pass and the envelope by

@@ -4,7 +4,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from usbeam import ArrayGeometry, RfFrame, fetch_delayed, linear_array, signed_sqrt
+from usbeam import (
+    ArrayGeometry,
+    DbImage,
+    LateralProfile,
+    Phantom,
+    RfFrame,
+    fetch_delayed,
+    linear_array,
+    signed_sqrt,
+)
 
 
 def make_frame(samples, fs=100e6, f0=3e6, c=1540.0):
@@ -53,6 +62,22 @@ def test_frame_rejects_non_finite_metadata(field, value):
     name = "sound_speed" if field == "c" else field
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         make_frame(np.zeros((2, 8)), **{field: value})
+
+
+# The value objects that hold arrays compare by identity: a field-wise ==
+# would ask an array for its truth value, and hash would fail on it.
+@pytest.mark.parametrize("make", [
+    lambda: make_frame(np.ones((2, 4))),
+    lambda: Phantom(np.array([[0.0, 20e-3, 1.0], [0.0, 20e-3, 0.5]]),
+                    x_bounds=(0.0, 0.0), z_bounds=(20e-3, 20e-3)),
+    lambda: DbImage(np.zeros((2, 2)), 60.0),
+    lambda: LateralProfile(depth=20e-3, x=np.array([0.0, 1e-3]), value_db=np.array([0.0, -6.0])),
+], ids=["RfFrame", "Phantom", "DbImage", "LateralProfile"])
+def test_array_holding_values_compare_by_identity(make):
+    a, b = make(), make()
+    assert (a == b) is False
+    assert (a == a) is True
+    assert len({a, b, a}) == 2
 
 
 def test_signed_sqrt_reference_values():

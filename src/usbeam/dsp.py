@@ -78,28 +78,15 @@ def design_bandpass(spec: FilterSpec, fs: float) -> np.ndarray:
     return h
 
 
-def bandpass(signal, spec: FilterSpec, fs: float) -> np.ndarray:
-    """Band-pass filter a sequence, compensating the group delay.
-
-    The output has the same length as the input and is aligned to it
-    (symmetric taps, integer group delay removed); boundaries are handled
-    by edge replication. DC is rejected exactly by construction and the
-    gain at spec.center is one. A 1-D view of :func:`bandpass_image`,
-    applied to a copy of the signal.
-    """
-    x = np.array(signal, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("signal must be 1-D")
-    return bandpass_image(x[:, None], spec, fs)[:, 0]
-
-
 def bandpass_image(image: np.ndarray, spec: FilterSpec, axial_rate: float) -> np.ndarray:
     """Filter every column (one reconstructed line) of a writeable 2-D
     float64 image along depth, in place, and return the image.
 
     axial_rate is the line's equivalent sampling rate in Hz: c / (2 dz)
-    for a grid with axial pixel spacing dz. Each column is copied into its
-    edge-padded line before it is overwritten.
+    for a grid with axial pixel spacing dz. The integer group delay of the
+    symmetric taps is removed, so each column stays aligned to its input;
+    its ends are edge-replicated. DC is rejected exactly and the gain at
+    spec.center is one. One line x: ``bandpass_image(x[:, None].copy(), spec, fs)[:, 0]``.
     """
     img = _require_image(image)
     spec.validate_line(img.shape[0], axial_rate)
@@ -118,24 +105,14 @@ def bandpass_image(image: np.ndarray, spec: FilterSpec, axial_rate: float) -> np
     return img
 
 
-def envelope(signal) -> np.ndarray:
-    """Envelope of a real sequence via the analytic signal.
-
-    Frequency-domain construction: zero the negative frequencies, double
-    the positive ones, inverse-transform and take the magnitude. The
-    transform runs at the next power-of-two length; the first and last few
-    percent of samples carry edge transients. A 1-D view of
-    :func:`envelope_image`, applied to a copy of the signal.
-    """
-    x = np.array(signal, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("signal must be 1-D")
-    return envelope_image(x[:, None])[:, 0]
-
-
 def envelope_image(image: np.ndarray) -> np.ndarray:
     """Per-column envelope of a writeable 2-D float64 image along the
     axial axis, in place; returns the image.
+
+    The envelope is the magnitude of the analytic signal: negative
+    frequencies zeroed and positive ones doubled, at the next power-of-two
+    length. The first and last few percent of samples carry edge
+    transients. One line x: ``envelope_image(x[:, None].copy())[:, 0]``.
 
     The columns are transformed in blocks of ``_ENVELOPE_BLOCK``, split
     over the CPUs the process may use, so the complex work arrays are one

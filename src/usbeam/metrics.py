@@ -13,7 +13,7 @@ from enum import Enum
 import numpy as np
 
 from .dsp import DbImage
-from .geometry import ImageGrid
+from .geometry import ImageGrid, _require_finite_positive
 
 
 class RegionShape(Enum):
@@ -26,7 +26,8 @@ class RegionSpec:
     """Axis-aligned region of interest, in meters.
 
     For RECT, half_x / half_z are the half-widths; for DISC, half_x is the
-    radius and half_z is ignored.
+    radius and half_z is ignored. The centre must be finite and each used
+    extent finite and positive.
     """
 
     shape: RegionShape
@@ -34,6 +35,14 @@ class RegionSpec:
     center_z: float
     half_x: float
     half_z: float = 0.0
+
+    def __post_init__(self):
+        for name in ("center_x", "center_z"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        _require_finite_positive("half_x", self.half_x)
+        if self.shape is RegionShape.RECT:
+            _require_finite_positive("half_z", self.half_z)
 
     @classmethod
     def rect(cls, center_x, center_z, half_x, half_z):
@@ -78,15 +87,23 @@ def snr_region(image, region: RegionSpec, grid: ImageGrid) -> float:
 def cr(image, cyst: RegionSpec, background: RegionSpec, grid: ImageGrid) -> float:
     """Contrast ratio in dB: 20 log10(mean cyst / mean background) on the
     pre-log-compression intensity image. More negative is better anechoic
-    contrast; an exactly empty cyst reports -inf."""
+    contrast; an exactly empty cyst reports -inf. Each region must hold at
+    least one pixel."""
     img = np.asarray(image, dtype=float)
-    mu_cyst = float(np.mean(img[cyst.mask(grid)]))
-    mu_bck = float(np.mean(img[background.mask(grid)]))
+    mu_cyst = _region_mean(img, cyst, grid, "cyst")
+    mu_bck = _region_mean(img, background, grid, "background")
     if not mu_bck > 0:
         raise ValueError("background region has zero mean intensity")
     if mu_cyst == 0.0:
         return float("-inf")
     return 20.0 * np.log10(mu_cyst / mu_bck)
+
+
+def _region_mean(img, region: RegionSpec, grid: ImageGrid, name: str) -> float:
+    pixels = img[region.mask(grid)]
+    if pixels.size == 0:
+        raise ValueError(f"{name} region contains no pixels")
+    return float(np.mean(pixels))
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,8 +123,8 @@ class LateralProfile:
 
 def lateral_profile(image: DbImage, depth: float, grid: ImageGrid) -> LateralProfile:
     """Extract the image row nearest a depth, renormalized to 0 dB max."""
-    if depth < grid.z_min or depth > grid.z_max:
-        raise ValueError("requested depth lies outside the grid")
+    if not grid.z_min <= depth <= grid.z_max:
+        raise ValueError(f"requested depth {depth!r} lies outside the grid")
     z = grid.z_axis
     row = int(np.argmin(np.abs(z - depth)))
     values = image.values[row, :].astype(float)

@@ -61,13 +61,10 @@ def signed_sqrt(x):
     """Square root that keeps the sign: sign(x) * sqrt(|x|).
 
     Odd function, total on finite reals; maps 0 to 0. Accepts scalars or
-    arrays of any shape.
+    arrays of any shape; a scalar gives a NumPy float64.
     """
     x = np.asarray(x, dtype=float)
-    out = np.copysign(np.sqrt(np.abs(x)), x)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return np.copysign(np.sqrt(np.abs(x)), x)
 
 
 def fetch_delayed(frame: RfFrame, delays) -> np.ndarray:

@@ -28,12 +28,12 @@ from usbeam import (
     PulseModel,
     RegionSpec,
     add_noise,
-    bandpass,
+    bandpass_image,
     cli,
     beamform_pixel,
     compute_delays,
     dmas_pixel_naive,
-    envelope,
+    envelope_image,
     fwhm,
     linear_array,
     log_compress,
@@ -85,6 +85,8 @@ def scalar_signed_sqrt(v):
 
 
 def dsdmas_expansion_oracle(xd):
+    """Literal term-by-term expansion of the double-stage sum, in scalar
+    math throughout, independent of the vectorized implementation."""
     xs = [float(v) for v in xd]
     m = len(xs)
     terms = []
@@ -369,11 +371,11 @@ def test_criterion_08_cr_ordering(cyst_rig):
 
 def test_criterion_09_dsp_unit_suite():
     spec = FilterSpec(center=2 * F0, half_bandwidth=1.5e6, taps=63)
-    dc = float(np.max(np.abs(bandpass(np.ones(4000), spec, FS))))
-    t = np.arange(4000) / FS
-    tone_out = bandpass(np.sin(2 * np.pi * 2 * F0 * t), spec, FS)
+    dc = float(np.max(np.abs(bandpass_image(np.ones((4000, 1)), spec, FS))))
+    t = np.arange(4000)[:, None] / FS
+    tone_out = bandpass_image(np.sin(2 * np.pi * 2 * F0 * t), spec, FS)[:, 0]
     tone_amp = float(np.max(np.abs(tone_out[1500:2500])))
-    env = envelope(np.sin(2 * np.pi * F0 * t))
+    env = envelope_image(np.sin(2 * np.pi * F0 * t))[:, 0]
     env_err = float(np.max(np.abs(env[200:-200] - 1.0)))
     rng = np.random.default_rng(109)
     img = np.abs(rng.normal(size=(40, 30))) + 0.01

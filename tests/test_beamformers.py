@@ -24,33 +24,7 @@ from usbeam import (
 )
 from usbeam.geometry import ImageGrid
 
-
-def scalar_signed_sqrt(v):
-    return math.sqrt(v) if v >= 0 else -math.sqrt(-v)
-
-
-def dsdmas_expansion_oracle(xd):
-    """Literal term-by-term expansion of the double-stage sum.
-
-    Stage one forms each bracketed term from individual pair couplings;
-    stage two couples the signed-sqrt terms pair by pair. Scalar math
-    throughout, independent of the vectorized implementation.
-    """
-    xs = [float(v) for v in xd]
-    m = len(xs)
-    terms = []
-    for i in range(m - 1):
-        acc = 0.0
-        for j in range(i + 1, m):
-            p = xs[i] * xs[j]
-            acc += math.sqrt(p) if p >= 0 else -math.sqrt(-p)
-        terms.append(acc)
-    out = 0.0
-    for i in range(m - 2):
-        for j in range(i + 1, m - 1):
-            p = terms[i] * terms[j]
-            out += math.sqrt(p) if p >= 0 else -math.sqrt(-p)
-    return out
+from test_acceptance import dsdmas_expansion_oracle
 
 
 def abs_pair_sum(values):

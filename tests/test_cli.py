@@ -394,6 +394,25 @@ class TestMetrics:
         assert run(["metrics", image, "--regions", str(regions)]) == 1
         assert "outside" in capsys.readouterr().err
 
+    # the image's pixel columns are 0.25 mm apart, so a 1 um disc midway
+    # between two of them holds no pixel
+    @pytest.mark.parametrize("row,message", [
+        ("fwhm,nan,0,3", "requested depth nan lies outside the grid"),
+        ("cr,15,nan,1.0,-1.5,1.0", "center_x must be finite, got nan"),
+        ("cr,15,0.125,0.001,-1.5,1.0", "cyst region contains no pixels"),
+        ("cr,15,1.5,1.0,0.125,0.001", "background region contains no pixels"),
+        ("cr,15,1.5,-1.0,-1.5,1.0", "half_x must be finite and positive, got -0.001"),
+        ("snr,15,0,3,-2", "half_z must be finite and positive, got -0.002"),
+    ], ids=["nan-depth", "nan-centre", "empty-cyst-disc", "empty-background-disc",
+            "negative-radius", "negative-half-height"])
+    def test_unusable_region_names_its_line(self, row, message, image, tmp_path, capsys):
+        regions = tmp_path / "regions.csv"
+        regions.write_text(f"cr,15,1.0,1.0,1.0,1.0\n{row}\n")
+        assert run(["metrics", image, "--regions", str(regions)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: regions line 2: {message}\n"
+
     def test_unparseable_value_names_its_line(self, image, tmp_path, capsys):
         regions = tmp_path / "regions.csv"
         regions.write_text("cr,15,1.0,1.0,1.0,1.0\nfwhm,np.float64(15.8),0,3\n")
@@ -427,6 +446,15 @@ class TestProfile:
         img = str(tmp_path / "img.uim")
         assert run(["beamform", wire_rf, "--algo", "das", *GRID_FLAGS, "--out", img]) == 0
         assert run(["profile", img, "--depth-mm", "40", "--out", str(tmp_path / "p.csv")]) == 1
+
+    def test_nan_depth_fails(self, wire_rf, tmp_path, capsys):
+        img = str(tmp_path / "img.uim")
+        assert run(["beamform", wire_rf, "--algo", "das", *GRID_FLAGS, "--out", img]) == 0
+        capsys.readouterr()
+        out = tmp_path / "p.csv"
+        assert run(["profile", img, "--depth-mm", "nan", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: requested depth nan lies outside the grid\n"
+        assert not out.exists()
 
 
 # Per subcommand: arguments shared by every run, a config-file line, and a

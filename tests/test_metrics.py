@@ -5,6 +5,7 @@ from usbeam import (
     DbImage,
     ImageGrid,
     LateralProfile,
+    RegionShape,
     RegionSpec,
     cr,
     fwhm,
@@ -45,6 +46,24 @@ class TestRegions:
             RegionSpec.rect(9e-3, 30e-3, 2e-3, 2e-3).mask(GRID)
         with pytest.raises(ValueError):
             RegionSpec.disc(0.0, 49e-3, 3e-3).mask(GRID)
+
+    @pytest.mark.parametrize("shape", list(RegionShape))
+    @pytest.mark.parametrize("field", ["center_x", "center_z"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_centre_must_be_finite(self, shape, field, bad):
+        values = {"center_x": 0.0, "center_z": 30e-3, "half_x": 2e-3, "half_z": 2e-3, field: bad}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            RegionSpec(shape, **values)
+
+    # a disc reads only half_x, its radius
+    @pytest.mark.parametrize("shape,field", [
+        (RegionShape.RECT, "half_x"), (RegionShape.RECT, "half_z"), (RegionShape.DISC, "half_x"),
+    ])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -2e-3])
+    def test_extent_must_be_finite_and_positive(self, shape, field, bad):
+        values = {"center_x": 0.0, "center_z": 30e-3, "half_x": 2e-3, "half_z": 2e-3, field: bad}
+        with pytest.raises(ValueError, match=f"^{field} must be finite and positive"):
+            RegionSpec(shape, **values)
 
 
 class TestRegionSnr:
@@ -117,6 +136,17 @@ class TestContrastRatio:
         bck = RegionSpec.disc(4e-3, 30e-3, 2e-3)
         with pytest.raises(ValueError):
             cr(img, cyst, bck, GRID)
+
+    @pytest.mark.parametrize("empty", ["cyst", "background"])
+    def test_region_without_pixels_is_named(self, empty):
+        # a 1 um disc midway between pixel columns 0.5 mm apart
+        regions = {
+            "cyst": RegionSpec.disc(-4e-3, 30e-3, 2e-3),
+            "background": RegionSpec.disc(4e-3, 30e-3, 2e-3),
+        }
+        regions[empty] = RegionSpec.disc(0.25e-3, 30e-3, 1e-6)
+        with pytest.raises(ValueError, match=f"^{empty} region contains no pixels$"):
+            cr(np.ones((81, 41)), regions["cyst"], regions["background"], GRID)
 
 
 class TestFwhm:
@@ -209,6 +239,10 @@ class TestLateralProfile:
     def test_depth_outside_grid_rejected(self, db_image):
         with pytest.raises(ValueError):
             lateral_profile(db_image, 60e-3, GRID)
+
+    def test_nan_depth_rejected(self, db_image):
+        with pytest.raises(ValueError, match="^requested depth nan lies outside the grid$"):
+            lateral_profile(db_image, np.nan, GRID)
 
 
 class TestSidelobeLevel:

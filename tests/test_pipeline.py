@@ -1,4 +1,6 @@
+import importlib.util
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,16 +9,20 @@ from usbeam import (
     BeamformerKind,
     FilterSpec,
     ImageGrid,
+    NoiseSpec,
     Phantom,
     PulseModel,
+    add_noise,
     compute_delays,
     default_filter,
     linear_array,
+    make_wire_phantom,
     pipeline,
     reconstruct_envelope,
     reconstruct_envelope_from_delays,
     synthesize_rf,
 )
+from usbeam.dsp import design_bandpass
 
 FS = 100e6
 
@@ -113,3 +119,58 @@ def test_reconstruction_holds_one_image(cpus):
     finally:
         tracemalloc.stop()
     assert (peak - entry) / env.nbytes <= 2.0
+
+
+def load_column_oracle():
+    """The benchmark's independent whole-column oracle, loaded by path so
+    there is one copy of it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("column_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# A 64-element wire scene at -10 dB channel SNR (noise seed 7) on a 5-column
+# grid that reaches past the recorded window, so the checked columns read the
+# gather's zero padding as well as noise and wires.
+ORACLE_F0 = 3e6
+ORACLE_C = 1540.0
+ORACLE_GRID = ImageGrid(x_min=-14e-3, x_max=14e-3, z_min=28e-3, z_max=80e-3, nx=5, nz=1300)
+
+
+@pytest.fixture(scope="module")
+def oracle_scene():
+    oracle = load_column_oracle()
+    geom = linear_array(64, 0.5 * ORACLE_C / ORACLE_F0, ORACLE_C)
+    clean = synthesize_rf(make_wire_phantom(), geom, PulseModel(f0=ORACLE_F0, cycles=2), FS)
+    frame = add_noise(clean, NoiseSpec(target_snr_db=-10.0, seed=7))
+    ex = oracle.element_positions(geom.element_count, geom.pitch)
+    x_axis, z_axis = ORACLE_GRID.x_axis, ORACLE_GRID.z_axis
+    gathered = {
+        j: oracle.gather_column(frame.samples, FS, ORACLE_C, ex, x_axis[j], z_axis)
+        for j in oracle.column_indices(ORACLE_GRID.nx)
+    }
+    return oracle, frame, gathered
+
+
+def test_oracle_grid_reads_past_the_recorded_window(oracle_scene):
+    _, frame, _ = oracle_scene
+    far = ORACLE_GRID.x_max + np.max(np.abs(frame.geometry.element_x))
+    deepest = FS * (ORACLE_GRID.z_max + np.hypot(far, ORACLE_GRID.z_max)) / ORACLE_C
+    assert deepest > frame.samples.shape[1]
+
+
+# The band is stated here, not read from default_filter: DAS at f0, the
+# product kernels at 2 f0, each f0 / 2 wide over 63 taps.
+@pytest.mark.parametrize("kind,center", [
+    (BeamformerKind.DAS, ORACLE_F0), (BeamformerKind.DMAS, 2 * ORACLE_F0),
+    (BeamformerKind.DSDMAS, 2 * ORACLE_F0),
+], ids=["das", "dmas", "dsdmas"])
+def test_envelope_columns_match_the_independent_oracle(oracle_scene, kind, center):
+    oracle, frame, gathered = oracle_scene
+    env, _ = reconstruct_envelope(frame, ORACLE_GRID, kind)
+    axial_rate = ORACLE_C / (2.0 * ORACLE_GRID.dz)
+    taps = design_bandpass(FilterSpec(center, 0.5 * ORACLE_F0, 63), axial_rate)
+    bad = oracle.mismatched_columns(env, gathered, kind.value, taps)
+    assert bad == 0, f"{bad} of {len(gathered)} checked columns miss the oracle"

@@ -121,16 +121,6 @@ def test_reconstruction_holds_one_image(cpus):
     assert (peak - entry) / env.nbytes <= 2.0
 
 
-def load_column_oracle():
-    """The benchmark's independent whole-column oracle, loaded by path so
-    there is one copy of it."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
-    spec = importlib.util.spec_from_file_location("column_oracle", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 # A 64-element wire scene at -10 dB channel SNR (noise seed 7) on a 5-column
 # grid that reaches past the recorded window, so the checked columns read the
 # gather's zero padding as well as noise and wires.
@@ -141,7 +131,12 @@ ORACLE_GRID = ImageGrid(x_min=-14e-3, x_max=14e-3, z_min=28e-3, z_max=80e-3, nx=
 
 @pytest.fixture(scope="module")
 def oracle_scene():
-    oracle = load_column_oracle()
+    # the benchmark's independent whole-column oracle, loaded by path so
+    # there is one copy of it
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("column_oracle", path)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
     geom = linear_array(64, 0.5 * ORACLE_C / ORACLE_F0, ORACLE_C)
     clean = synthesize_rf(make_wire_phantom(), geom, PulseModel(f0=ORACLE_F0, cycles=2), FS)
     frame = add_noise(clean, NoiseSpec(target_snr_db=-10.0, seed=7))

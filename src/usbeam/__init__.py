@@ -15,7 +15,7 @@ from .beamformers import (
     op_count,
     stage_one_terms,
 )
-from .dsp import DbImage, FilterSpec, bandpass_image, envelope_image, log_compress
+from .dsp import FilterSpec, bandpass_image, envelope_image, log_compress
 from .geometry import ArrayGeometry, DelayTable, ImageGrid, compute_delays, linear_array
 from .metrics import LateralProfile, RegionShape, RegionSpec, cr, fwhm, lateral_profile, sidelobe_level, snr_region
 from .pipeline import axial_sample_rate, default_filter, reconstruct_envelope, reconstruct_envelope_from_delays

@@ -42,10 +42,10 @@ def _parse_custom_scatterers(text: str) -> np.ndarray:
         item = item.strip()
         if not item:
             continue
-        parts = item.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"custom scatterer {item!r} must be x_mm,z_mm,amplitude")
-        x_mm, z_mm, amp = (float(p) for p in parts)
+        try:
+            x_mm, z_mm, amp = (float(p) for p in item.split(","))
+        except ValueError:
+            raise ValueError(f"custom scatterer {item!r} must be x_mm,z_mm,amplitude") from None
         points.append((x_mm * 1e-3, z_mm * 1e-3, amp))
     if not points:
         raise ValueError("phantom=custom needs custom_scatterers entries")
@@ -131,7 +131,7 @@ def cmd_beamform(args) -> int:
 def cmd_render(args) -> int:
     cfg = load_config(args.config, vars(args))
     env, _grid = containers.read_image(args.image_path)
-    gray = containers.db_to_gray(log_compress(env, cfg.dynamic_range))
+    gray = containers.db_to_gray(log_compress(env, cfg.dynamic_range), cfg.dynamic_range)
     containers.write_pgm(args.out, gray)
     print(f"out={args.out}")
     return 0
@@ -148,7 +148,6 @@ def _windowed_profile(db_image, depth, center_x, half_window, grid: ImageGrid) -
         depth=profile.depth,
         x=profile.x[keep],
         value_db=profile.value_db[keep] - profile.value_db[keep].max(),
-        depth_offset=profile.depth_offset,
     )
 
 
@@ -208,14 +207,14 @@ def cmd_metrics(args) -> int:
 def cmd_profile(args) -> int:
     cfg = load_config(args.config, vars(args))
     env, grid = containers.read_image(args.image_path)
-    db_image = log_compress(env, cfg.dynamic_range)
-    profile = lateral_profile(db_image, args.depth_mm * 1e-3, grid)
+    depth = args.depth_mm * 1e-3
+    profile = lateral_profile(log_compress(env, cfg.dynamic_range), depth, grid)
     body = "x_mm,value_db\n" + "".join(
         f"{x * 1e3:.6f},{v:.6f}\n" for x, v in zip(profile.x, profile.value_db)
     )
     containers.atomic_write(args.out, body.encode("ascii"))
     print(f"depth_mm={profile.depth * 1e3:.3f}")
-    print(f"depth_offset_mm={profile.depth_offset * 1e3:.6f}")
+    print(f"depth_offset_mm={abs(profile.depth - depth) * 1e3:.6f}")
     print(f"out={args.out}")
     return 0
 

@@ -15,8 +15,7 @@ import struct
 
 import numpy as np
 
-from .dsp import DbImage
-from .geometry import ArrayGeometry, ImageGrid
+from .geometry import ArrayGeometry, ImageGrid, _require_finite_positive
 from .rfmodel import RfFrame
 
 RF_MAGIC = b"URF1"
@@ -120,14 +119,18 @@ def read_image(path: str) -> tuple[np.ndarray, ImageGrid]:
     nx, nz, (x_min, x_max, z_min, z_max), payload = _read_container(path, IMAGE_MAGIC, "image")
     if not np.all(np.isfinite(payload)):
         raise ValueError(f"{path}: image container holds non-finite pixels")
-    return payload.reshape(nz, nx), ImageGrid(x_min=x_min, x_max=x_max, z_min=z_min, z_max=z_max, nx=nx, nz=nz)
+    try:
+        grid = ImageGrid(x_min=x_min, x_max=x_max, z_min=z_min, z_max=z_max, nx=nx, nz=nz)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return payload.reshape(nz, nx), grid
 
 
-def db_to_gray(image: DbImage) -> np.ndarray:
-    """Map a dB image to 8-bit grayscale: 0 dB -> 255, the dynamic-range
-    floor -> 0, rounding halves up."""
-    dr = image.dynamic_range
-    levels = np.floor(255.0 * (image.values + dr) / dr + 0.5)
+def db_to_gray(image: np.ndarray, dynamic_range: float) -> np.ndarray:
+    """Map a dB image to 8-bit grayscale: 0 dB -> 255, the floor
+    -dynamic_range dB -> 0, rounding halves up."""
+    _require_finite_positive("dynamic_range", dynamic_range)
+    levels = np.floor(255.0 * (image + dynamic_range) / dynamic_range + 0.5)
     return np.clip(levels, 0, 255).astype(np.uint8)
 
 

@@ -155,25 +155,17 @@ def _block_envelope(block: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.abs(analytic[: block.shape[0], :])
 
 
-@dataclass(frozen=True, eq=False)
-class DbImage:
-    """Log-compressed image in dB relative to its own maximum.
+def log_compress(envelope_img, dynamic_range: float) -> np.ndarray:
+    """Normalize a finite envelope image to its maximum and log-compress.
 
-    The maximum pixel is exactly 0 dB; all values lie in
-    [-dynamic_range, 0].
-    """
-
-    values: np.ndarray
-    dynamic_range: float
-
-
-def log_compress(envelope_img, dynamic_range: float) -> DbImage:
-    """Normalize an envelope image to its maximum and log-compress.
-
-    Values map to 20 log10(v / max), floored at -dynamic_range dB; the
-    result is invariant to a global positive scaling of the input.
+    Values map to 20 log10(v / max), floored at -dynamic_range dB, so the
+    maximum pixel is exactly 0 dB and every value lies in
+    [-dynamic_range, 0]; the result is invariant to a global positive
+    scaling of the input.
     """
     env = np.asarray(envelope_img, dtype=float)
+    if not np.all(np.isfinite(env)):
+        raise ValueError("envelope image must be finite")
     if np.any(env < 0):
         raise ValueError("envelope image must be nonnegative")
     _require_finite_positive("dynamic_range", dynamic_range)
@@ -182,4 +174,4 @@ def log_compress(envelope_img, dynamic_range: float) -> DbImage:
         raise ValueError("cannot normalize an all-zero image")
     with np.errstate(divide="ignore"):
         db = 20.0 * np.log10(env / peak)
-    return DbImage(values=np.maximum(db, -float(dynamic_range)), dynamic_range=float(dynamic_range))
+    return np.maximum(db, -float(dynamic_range))

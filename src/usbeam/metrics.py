@@ -12,7 +12,6 @@ from enum import Enum
 
 import numpy as np
 
-from .dsp import DbImage
 from .geometry import ImageGrid, _require_finite_positive
 
 
@@ -111,29 +110,23 @@ class LateralProfile:
     """Lateral cut through an image at one depth.
 
     x holds the lateral positions in meters; value_db is normalized so its
-    maximum is 0 dB. depth is the actual row depth and depth_offset the
-    distance to the requested depth.
+    maximum is 0 dB. depth is the actual row depth.
     """
 
     depth: float
     x: np.ndarray
     value_db: np.ndarray
-    depth_offset: float = 0.0
 
 
-def lateral_profile(image: DbImage, depth: float, grid: ImageGrid) -> LateralProfile:
-    """Extract the image row nearest a depth, renormalized to 0 dB max."""
+def lateral_profile(image: np.ndarray, depth: float, grid: ImageGrid) -> LateralProfile:
+    """Extract the row of a 2-D dB image nearest a depth, renormalized to
+    0 dB max."""
     if not grid.z_min <= depth <= grid.z_max:
         raise ValueError(f"requested depth {depth!r} lies outside the grid")
     z = grid.z_axis
     row = int(np.argmin(np.abs(z - depth)))
-    values = image.values[row, :].astype(float)
-    return LateralProfile(
-        depth=float(z[row]),
-        x=grid.x_axis,
-        value_db=values - values.max(),
-        depth_offset=float(abs(z[row] - depth)),
-    )
+    values = image[row, :].astype(float)
+    return LateralProfile(depth=float(z[row]), x=grid.x_axis, value_db=values - values.max())
 
 
 def _crossing(x0, a0, x1, a1, level):

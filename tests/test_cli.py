@@ -105,6 +105,18 @@ class TestSimulate:
                     "--out", str(tmp_path / "x.urf")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry,message", [
+        ("a,15,1", "custom scatterer 'a,15,1' must be x_mm,z_mm,amplitude"),
+        ("0,15", "custom scatterer '0,15' must be x_mm,z_mm,amplitude"),
+        ("nan,15,1", "scatterer entries must be finite"),
+    ], ids=["non-numeric", "field-count", "nan"])
+    def test_unusable_custom_scatterer_is_named(self, entry, message, tmp_path, capsys):
+        out = tmp_path / "f.urf"
+        assert run(["simulate", "--phantom", "custom", "--custom-scatterers", entry,
+                    "--elements", "4", "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_scatterer_above_array_face_fails(self, tmp_path, capsys):
         assert run(["simulate", "--phantom", "custom", "--custom-scatterers", "0,-5,1",
                     "--elements", "4", "--snr-db", "300", "--out", str(tmp_path / "f.urf")]) == 1
@@ -309,6 +321,20 @@ class TestRender:
         top_row = list(raw[-8:-4])
         assert top_row == [255, 128, 0, 0]
 
+    def test_invalid_header_grid_is_named_with_the_file(self, tmp_path, capsys):
+        grid = ImageGrid(x_min=0.0, x_max=3e-3, z_min=1e-3, z_max=2e-3, nx=4, nz=2)
+        src = tmp_path / "env.uim"
+        write_image(str(src), np.ones((2, 4)), grid)
+        raw = bytearray(src.read_bytes())
+        raw[28:36] = struct.pack("<d", -5e-3)  # z_min
+        src.write_bytes(bytes(raw))
+        out = tmp_path / "img.pgm"
+        assert run(["render", str(src), "--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {src}: z_min must be positive (imaging starts below the array face)\n"
+        )
+        assert not out.exists()
+
 
     def test_ignores_config_grid_fields(self, tmp_path):
         # render reads its grid from the image, so a grid in the config is unused
@@ -441,6 +467,21 @@ class TestProfile:
         assert values.max() == 0.0
         profile = lateral_profile(log_compress(env, 70.0), 15.8e-3, grid)
         assert np.allclose(values, np.round(profile.value_db, 6), atol=5e-7)
+
+    # 15.8 mm falls between rows; 13 mm is the first row
+    @pytest.mark.parametrize("depth_mm", [15.8, 13.0])
+    def test_depth_offset_is_the_distance_to_the_nearest_row(self, depth_mm, wire_rf, tmp_path, capsys):
+        img = str(tmp_path / "img.uim")
+        assert run(["beamform", wire_rf, "--algo", "das", *GRID_FLAGS, "--out", img]) == 0
+        capsys.readouterr()
+        assert run(["profile", img, "--depth-mm", str(depth_mm), "--out", str(tmp_path / "p.csv")]) == 0
+        printed = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+        z = read_image(img)[1].z_axis
+        depth = depth_mm * 1e-3
+        row = int(np.argmin(np.abs(z - depth)))
+        assert printed["depth_mm"] == f"{z[row] * 1e3:.3f}"
+        assert printed["depth_offset_mm"] == f"{abs(z[row] - depth) * 1e3:.6f}"
+        assert (float(printed["depth_offset_mm"]) == 0.0) == (depth_mm == 13.0)
 
     def test_depth_outside_grid_fails(self, wire_rf, tmp_path):
         img = str(tmp_path / "img.uim")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from usbeam import ArrayGeometry, DbImage, ImageGrid, RfFrame, containers, linear_array
+from usbeam import ArrayGeometry, ImageGrid, RfFrame, containers, linear_array
 from usbeam.containers import (
     atomic_write,
     db_to_gray,
@@ -157,6 +157,22 @@ class TestImageContainer:
         with pytest.raises(ValueError, match="magic"):
             read_image(path)
 
+    # header offsets: x_min at byte 12, x_max at 20, z_min at 28
+    @pytest.mark.parametrize("offset,value,message", [
+        (12, np.nan, "grid extent x_min must be finite, got nan"),
+        (28, 0.0, "z_min must be positive (imaging starts below the array face)"),
+        (28, -5e-3, "z_min must be positive (imaging starts below the array face)"),
+        (20, -5e-3, "grid extents must satisfy x_min <= x_max and z_min <= z_max"),
+    ], ids=["nan-x_min", "zero-z_min", "negative-z_min", "x_max-below-x_min"])
+    def test_reader_names_the_file_of_an_invalid_grid(self, tmp_path, offset, value, message):
+        path = tmp_path / "bad.uim"
+        write_image(str(path), *image_with_pixel(1.0))
+        raw = bytearray(path.read_bytes())
+        raw[offset : offset + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
+            read_image(str(path))
+
 
 property_settings = settings(max_examples=30, derandomize=True, database=None, deadline=None)
 values = st.floats(-1e30, 1e30)  # finite after float32 quantization
@@ -298,10 +314,14 @@ class TestAtomicWrite:
 
 class TestRendering:
     def test_gray_mapping_reference_points(self):
-        db = DbImage(values=np.array([[0.0, -35.0, -70.0]]), dynamic_range=70.0)
-        gray = db_to_gray(db)
+        gray = db_to_gray(np.array([[0.0, -35.0, -70.0]]), 70.0)
         # -35 dB maps to 127.5 which rounds half-up to 128
         assert list(gray[0]) == [255, 128, 0]
+
+    @pytest.mark.parametrize("dynamic_range", [0.0, -1.0, np.nan, np.inf])
+    def test_floor_must_be_finite_and_positive(self, dynamic_range):
+        with pytest.raises(ValueError, match="^dynamic_range must be finite and positive"):
+            db_to_gray(np.zeros((2, 2)), dynamic_range)
 
     def test_pgm_layout(self, tmp_path):
         gray = np.arange(6, dtype=np.uint8).reshape(2, 3)

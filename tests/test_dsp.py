@@ -206,18 +206,18 @@ class TestLogCompress:
     def test_max_maps_to_zero(self):
         img = np.array([[1.0, 0.5], [0.25, 0.1]])
         db = log_compress(img, 70.0)
-        assert db.values.max() == 0.0
-        assert np.all(db.values <= 0.0)
+        assert db.max() == 0.0
+        assert np.all(db <= 0.0)
 
     def test_tenth_of_max_is_minus_20(self):
         img = np.array([[1.0, 0.1]])
         db = log_compress(img, 70.0)
-        assert db.values[0, 1] == pytest.approx(-20.0, abs=1e-12)
+        assert db[0, 1] == pytest.approx(-20.0, abs=1e-12)
 
     def test_floor_clamps(self):
         img = np.array([[1.0, 1e-6]])
         db = log_compress(img, 70.0)
-        assert db.values[0, 1] == -70.0
+        assert db[0, 1] == -70.0
 
     def test_all_zero_is_an_error(self):
         with pytest.raises(ValueError):
@@ -226,6 +226,15 @@ class TestLogCompress:
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):
             log_compress(np.array([[1.0, -0.1]]), 70.0)
+
+    # checked before anything else, so the invalid floor of 0 is not
+    # reached: a NaN would otherwise read as an all-zero image, an inf
+    # give a NaN pixel
+    @pytest.mark.parametrize("envelope", [[[1.0, np.nan]], [[np.inf, 1.0]], [[-np.inf, 1.0]]],
+                             ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_values(self, envelope):
+        with pytest.raises(ValueError, match="^envelope image must be finite$"):
+            log_compress(np.array(envelope), 0.0)
 
     @pytest.mark.parametrize("dynamic_range", [np.inf, np.nan, 0.0, -10.0])
     def test_dynamic_range_must_be_finite_and_positive(self, dynamic_range):
@@ -238,7 +247,7 @@ class TestLogCompress:
         base = log_compress(img, 70.0)
         for k in (-6, -1, 3, 9):
             scaled = log_compress(img * 2.0**k, 70.0)
-            assert np.array_equal(base.values, scaled.values)
+            assert np.array_equal(base, scaled)
 
     def test_arbitrary_scaling_within_rounding(self):
         rng = np.random.default_rng(5)
@@ -246,4 +255,4 @@ class TestLogCompress:
         base = log_compress(img, 70.0)
         for alpha in (0.37, 2.9, 113.0):
             scaled = log_compress(img * alpha, 70.0)
-            assert np.max(np.abs(base.values - scaled.values)) < 1e-12
+            assert np.max(np.abs(base - scaled)) < 1e-12

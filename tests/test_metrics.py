@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from usbeam import (
-    DbImage,
     ImageGrid,
     LateralProfile,
     RegionShape,
@@ -223,17 +222,14 @@ class TestLateralProfile:
         profile = lateral_profile(db_image, depth, GRID)
         row = int(np.argmin(np.abs(GRID.z_axis - depth)))
         assert profile.depth == GRID.z_axis[row]
-        assert profile.depth_offset == pytest.approx(abs(GRID.z_axis[row] - depth))
         assert profile.value_db.max() == 0.0
 
     def test_row_containing_image_max_unchanged_up_to_shift(self, db_image):
         profile = lateral_profile(db_image, GRID.z_axis[40], GRID)
-        assert profile.depth_offset == 0.0
-        assert np.array_equal(profile.value_db, db_image.values[40, :])
+        assert np.array_equal(profile.value_db, db_image[40, :])
 
     def test_constant_row_normalizes_to_zero(self):
-        db = DbImage(values=np.full((81, 41), -13.0), dynamic_range=70.0)
-        profile = lateral_profile(db, 30e-3, GRID)
+        profile = lateral_profile(np.full((81, 41), -13.0), 30e-3, GRID)
         assert np.array_equal(profile.value_db, np.zeros(41))
 
     def test_depth_outside_grid_rejected(self, db_image):

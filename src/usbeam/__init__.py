@@ -17,7 +17,7 @@ from .beamformers import (
 )
 from .dsp import FilterSpec, bandpass_image, envelope_image, log_compress
 from .geometry import ArrayGeometry, DelayTable, ImageGrid, compute_delays, linear_array
-from .metrics import LateralProfile, RegionShape, RegionSpec, cr, fwhm, lateral_profile, sidelobe_level, snr_region
+from .metrics import LateralProfile, RegionShape, RegionSpec, cr, fwhm, gcnr, lateral_profile, sidelobe_level, snr_region
 from .pipeline import axial_sample_rate, default_filter, reconstruct_envelope, reconstruct_envelope_from_delays
 from .rfmodel import RfFrame, fetch_delayed, signed_sqrt
 from .simulator import (

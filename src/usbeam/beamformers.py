@@ -176,7 +176,16 @@ def beamform_image(frame: RfFrame, delays: DelayTable, kind: BeamformerKind):
     table is never built. The output equals per-pixel application of the
     corresponding kernel up to rounding order.
 
-    Columns are independent, so they are split over the CPUs the process
+    On a mirrored table (a centred grid, see :class:`DelayTable`) the work
+    items are the (nx + 1) // 2 mirror pairs: item j computes column j's
+    delays once, gathers column j from them and column nx - 1 - j from
+    their element-reversed view, which equals that column's own delays bit
+    for bit. Otherwise the items are the nx columns. Either way
+    ``fetch_delayed`` is called once per column with an (nz, M) block, and
+    every column equals ``kernel(fetch_delayed(frame, delays.column(j)).T)``
+    bit for bit.
+
+    Items are independent, so they are split over the CPUs the process
     may use (:func:`usbeam.workers.distribute`). Every column is computed
     by the same calls whatever the thread count, so the output does not
     depend on it. An error in any thread is raised here once every thread
@@ -188,11 +197,15 @@ def beamform_image(frame: RfFrame, delays: DelayTable, kind: BeamformerKind):
         raise ValueError(f"delay table built for fs={delays.fs:.6g} Hz, frame sampled at fs={frame.fs:.6g} Hz")
     ops = op_count(kind, frame.element_count)
     kernel = _KERNELS[kind]
-    out = np.empty((delays.grid.nz, delays.grid.nx))
+    nx = delays.grid.nx
+    out = np.empty((delays.grid.nz, nx))
 
-    def fill(columns) -> None:
-        for j in columns:
-            out[:, j] = kernel(fetch_delayed(frame, delays.column(j)).T)
+    def fill(items) -> None:
+        for j in items:
+            d = delays.column(j)
+            out[:, j] = kernel(fetch_delayed(frame, d).T)
+            if delays.mirrored and nx - 1 - j != j:
+                out[:, nx - 1 - j] = kernel(fetch_delayed(frame, d[:, ::-1]).T)
 
-    distribute(delays.grid.nx, fill)
+    distribute((nx + 1) // 2 if delays.mirrored else nx, fill)
     return out, ops

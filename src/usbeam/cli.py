@@ -17,7 +17,7 @@ from .beamformers import BeamformerKind
 from .config import RunConfig, load_config
 from .dsp import FilterSpec, log_compress
 from .geometry import ImageGrid, linear_array
-from .metrics import LateralProfile, RegionSpec, cr, fwhm, lateral_profile, sidelobe_level, snr_region
+from .metrics import LateralProfile, RegionSpec, cr, fwhm, gcnr, lateral_profile, sidelobe_level, snr_region
 from .pipeline import default_filter, reconstruct_envelope
 from .simulator import (
     NoiseSpec,
@@ -152,6 +152,7 @@ def _windowed_profile(db_image, depth, center_x, half_window, grid: ImageGrid) -
 
 
 _PROFILE_METRICS = {"fwhm": ("fwhm_mm", fwhm), "sidelobe": ("sidelobe_db", sidelobe_level)}
+_DISC_PAIR_METRICS = {"cr": ("cr_db", cr), "gcnr": ("gcnr", gcnr)}
 
 
 def _metrics_rows(env: np.ndarray, grid: ImageGrid, lines) -> list[str]:
@@ -172,15 +173,16 @@ def _metrics_rows(env: np.ndarray, grid: ImageGrid, lines) -> list[str]:
                 name, metric = _PROFILE_METRICS[kind]
                 value = metric(_windowed_profile(db_image, *(v * 1e-3 for v in vals), grid))
                 rows.append(f"{vals[0]:.3f},{name},{value:.6f}")
-            elif kind == "cr" and len(vals) == 5:
+            elif kind in _DISC_PAIR_METRICS and len(vals) == 5:
                 depth, cyst_x, cyst_r, bck_x, bck_r = (v * 1e-3 for v in vals)
-                value = cr(
+                name, metric = _DISC_PAIR_METRICS[kind]
+                value = metric(
                     env,
                     RegionSpec.disc(cyst_x, depth, cyst_r),
                     RegionSpec.disc(bck_x, depth, bck_r),
                     grid,
                 )
-                rows.append(f"{vals[0]:.3f},cr_db,{value:.6f}")
+                rows.append(f"{vals[0]:.3f},{name},{value:.6f}")
             else:
                 raise ValueError(f"unknown metric row {kind!r} or wrong field count")
         except ValueError as exc:
@@ -269,11 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
     ren.add_argument("--out", required=True, help="output PGM path")
     ren.set_defaults(func=cmd_render)
 
-    met = sub.add_parser("metrics", help="evaluate SNR / FWHM / sidelobe / CR over configured regions")
+    met = sub.add_parser("metrics", help="evaluate SNR / FWHM / sidelobe / CR / gCNR over configured regions")
     met.add_argument("image_path")
     met.add_argument("--regions", required=True,
                      help="region file: snr,depth,x,hx,hz | fwhm,depth,x,window | "
-                          "sidelobe,depth,x,window | cr,depth,cx,cr,bx,br (all mm)")
+                          "sidelobe,depth,x,window | cr,depth,cx,cr,bx,br | "
+                          "gcnr,depth,cx,cr,bx,br (all mm; gCNR over 100 bins)")
     met.add_argument("--out", help="also write the CSV report here")
     met.set_defaults(func=cmd_metrics)
 

@@ -1,8 +1,9 @@
-"""Image-quality metrics: region SNR, FWHM, contrast ratio, lateral
-profiles and sidelobe levels.
+"""Image-quality metrics: region SNR, FWHM, contrast ratio, generalized
+contrast-to-noise ratio, lateral profiles and sidelobe levels.
 
-Region metrics (SNR, CR) operate on the envelope-domain image, before log
-compression; profile metrics operate on normalized dB profiles.
+Region metrics (SNR, CR, gCNR) operate on the envelope-domain image,
+before log compression; profile metrics operate on normalized dB
+profiles.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import ImageGrid, _require_finite_positive
+from .geometry import ImageGrid, _require_count, _require_finite_positive
 
 
 class RegionShape(Enum):
@@ -71,9 +72,9 @@ class RegionSpec:
 
 def snr_region(image, region: RegionSpec, grid: ImageGrid) -> float:
     """Region SNR in dB: 20 log10((max - min) / std) over the region's
-    pixels of a pre-log-compression intensity image."""
+    pixels of a pre-log-compression intensity image; they must be finite."""
     img = np.asarray(image, dtype=float)
-    pixels = img[region.mask(grid)]
+    pixels = _region_pixels(img, region, grid, "snr")
     if pixels.size < 2:
         raise ValueError("region must contain at least 2 pixels")
     spread = float(np.max(pixels) - np.min(pixels))
@@ -87,10 +88,10 @@ def cr(image, cyst: RegionSpec, background: RegionSpec, grid: ImageGrid) -> floa
     """Contrast ratio in dB: 20 log10(mean cyst / mean background) on the
     pre-log-compression intensity image. More negative is better anechoic
     contrast; an exactly empty cyst reports -inf. Each region must hold at
-    least one pixel."""
+    least one pixel, and its pixels must be finite."""
     img = np.asarray(image, dtype=float)
-    mu_cyst = _region_mean(img, cyst, grid, "cyst")
-    mu_bck = _region_mean(img, background, grid, "background")
+    mu_cyst = float(np.mean(_region_pixels(img, cyst, grid, "cyst")))
+    mu_bck = float(np.mean(_region_pixels(img, background, grid, "background")))
     if not mu_bck > 0:
         raise ValueError("background region has zero mean intensity")
     if mu_cyst == 0.0:
@@ -98,11 +99,38 @@ def cr(image, cyst: RegionSpec, background: RegionSpec, grid: ImageGrid) -> floa
     return 20.0 * np.log10(mu_cyst / mu_bck)
 
 
-def _region_mean(img, region: RegionSpec, grid: ImageGrid, name: str) -> float:
+def _region_pixels(img, region: RegionSpec, grid: ImageGrid, name: str) -> np.ndarray:
     pixels = img[region.mask(grid)]
     if pixels.size == 0:
         raise ValueError(f"{name} region contains no pixels")
-    return float(np.mean(pixels))
+    if not np.all(np.isfinite(pixels)):
+        raise ValueError(f"{name} region holds non-finite pixels")
+    return pixels
+
+
+def gcnr(image, region_a: RegionSpec, region_b: RegionSpec, grid: ImageGrid, bins: int = 100) -> float:
+    """Generalized contrast-to-noise ratio (Rodriguez-Molares et al., IEEE
+    TUFFC 2020) of two regions of the pre-log-compression intensity image:
+    one minus the overlap of their pixel-value distributions, from 0 for
+    identical distributions to 1 for disjoint ones.
+
+    Binning: ``bins`` equal-width bins span the smallest to the largest
+    pixel of both regions together, the last bin closed on the right
+    (``np.histogram``). Each region's counts are normalized by its pixel
+    count, and the overlap is the sum over bins of the smaller of the two.
+    Each region must hold at least one pixel, and its pixels must be
+    finite.
+    """
+    _require_count("bins", bins, 1)
+    img = np.asarray(image, dtype=float)
+    a = _region_pixels(img, region_a, grid, "first")
+    b = _region_pixels(img, region_b, grid, "second")
+    edges = np.histogram_bin_edges(np.concatenate((a, b)), bins)
+    count_a = np.histogram(a, edges)[0]
+    count_b = np.histogram(b, edges)[0]
+    # integer cross-multiplied counts, so equal distributions overlap exactly
+    overlap = np.minimum(count_a * b.size, count_b * a.size).sum() / (a.size * b.size)
+    return float(1.0 - overlap)
 
 
 @dataclass(frozen=True, eq=False)

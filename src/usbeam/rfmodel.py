@@ -78,11 +78,11 @@ def fetch_delayed(frame: RfFrame, delays) -> np.ndarray:
 
     Both neighbours are read from the frame's zero-padded buffer by fancy
     indexing, which keeps the memory order of ``delays``: a transposed
-    (M, nz) block reads each channel front to back and yields an
-    F-ordered result whose transpose is C-contiguous. Clipping the delays
-    to [-1, K] lands every out-of-window position on the padding, so no
-    mask is needed and the result equals masking each neighbour outside
-    [0, K-1] to zero.
+    (M, nz) block, or its element-reversed view ``d[:, ::-1]``, reads each
+    channel front to back and yields an F-ordered result whose transpose
+    is C-contiguous. Clipping the delays to [-1, K] lands every
+    out-of-window position on the padding, so no mask is needed and the
+    result equals masking each neighbour outside [0, K-1] to zero.
     """
     d = np.asarray(delays, dtype=float)
     if d.shape[-1] != frame.element_count:

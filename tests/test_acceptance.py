@@ -47,6 +47,7 @@ from usbeam import (
     synthesize_rf,
 )
 from usbeam.metrics import cr as contrast_ratio
+from usbeam.metrics import gcnr
 from usbeam.simulator import CYST_DEPTHS, CYST_WIDE_X
 
 F0 = 3e6
@@ -361,7 +362,9 @@ def test_criterion_08_cr_ordering(cyst_rig):
         das, dmas, dsd = (values[k] for k in KINDS)
         measured.append(values)
         ok &= dsd <= dmas - 5.0 and dmas - 5.0 <= das - 10.0
-        rows.append(f"z={depth * 1e3:.0f}: {das:.1f}/{dmas:.1f}/{dsd:.1f}dB")
+        # gCNR is reported beside CR, not asserted
+        g = "/".join(f"{gcnr(cyst_rig[k], cyst, background, CYST_GRID):.3f}" for k in KINDS)
+        rows.append(f"z={depth * 1e3:.0f}: {das:.1f}/{dmas:.1f}/{dsd:.1f}dB gCNR {g}")
     report(8, ok, " ".join(rows) + " (need dsdmas <= dmas-5 <= das-10)")
     for values in measured:
         das, dmas, dsd = (values[k] for k in KINDS)

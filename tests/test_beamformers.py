@@ -392,6 +392,37 @@ class TestBeamformImage:
         beamform_image(frame, delays, BeamformerKind.DAS)
         assert len(calls) == delays.grid.nx
 
+    @pytest.mark.parametrize("x_min", [-1e-3, -0.7e-3], ids=["centred", "off-centre"])
+    @pytest.mark.parametrize("nx", [6, 7])
+    @pytest.mark.parametrize("kind", list(BeamformerKind))
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_columns_equal_the_unpaired_reference(self, scene, x_min, nx, kind, workers, cpus):
+        frame, _ = scene
+        grid = ImageGrid(x_min=x_min, x_max=1e-3, z_min=0.5e-3, z_max=1.4e-3, nx=nx, nz=7)
+        delays = compute_delays(frame.geometry, grid, frame.fs)
+        assert delays.mirrored == (x_min == -1e-3)
+        cpus(workers)
+        image, _ = beamform_image(frame, delays, kind)
+        kernel = beamformers._KERNELS[kind]
+        for j in range(nx):
+            assert np.array_equal(image[:, j], kernel(fetch_delayed(frame, delays.column(j)).T))
+
+    @pytest.mark.parametrize("x_min,computed", [(-1e-3, 3), (-0.7e-3, 5)], ids=["centred", "off-centre"])
+    def test_computes_one_delay_block_per_mirror_pair(self, scene, monkeypatch, x_min, computed):
+        frame, _ = scene
+        grid = ImageGrid(x_min=x_min, x_max=1e-3, z_min=0.5e-3, z_max=1.4e-3, nx=5, nz=7)
+        delays = compute_delays(frame.geometry, grid, frame.fs)
+        column = DelayTable.column
+        calls = []
+
+        def counted(table, j):
+            calls.append(j)
+            return column(table, j)
+
+        monkeypatch.setattr(DelayTable, "column", counted)
+        beamform_image(frame, delays, BeamformerKind.DAS)
+        assert sorted(calls) == list(range(computed))
+
     def test_propagates_kernel_preconditions(self):
         geom = linear_array(2, 0.3e-3)
         frame = RfFrame(samples=np.zeros((2, 50)), fs=100e6, f0=3e6, geometry=geom)

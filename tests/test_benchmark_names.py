@@ -120,17 +120,38 @@ def test_run_config_defaults_build_the_oracles_grid_and_band():
         spec.validate_line(grid.nz, pipeline.axial_sample_rate(grid, cfg.c))
 
 
-def test_acceptance_suite_names_resolve():
+def load_acceptance_suite():
     spec = importlib.util.spec_from_file_location(
         "acceptance_names", Path(__file__).with_name("test_acceptance.py")
     )
     suite = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(suite)
+    return suite
+
+
+def test_acceptance_suite_names_resolve():
+    suite = load_acceptance_suite()
     missing = [name for name in SUITE_NAMES if not hasattr(suite, name)]
     assert not missing
     # the margins unpack each rig's images as DAS, DMAS, DS-DMAS
     assert suite.KINDS == tuple(BeamformerKind)
     assert set(suite.SIDELOBE_BANDS) == set(suite.NOISE_BANDS) == set(BeamformerKind)
+
+
+def test_every_workload_grid_is_centred():
+    # beamform_image computes one delay block per mirror pair only on a
+    # centred grid; a workload grid moved off-centre would silently leave
+    # that path, so it fails here instead
+    suite = load_acceptance_suite()
+    cfg = RunConfig()
+    grids = {
+        "WIRE_GRID": suite.WIRE_GRID,
+        "CYST_GRID": suite.CYST_GRID,
+        "RunConfig()": ImageGrid(cfg.x_min, cfg.x_max, cfg.z_min, cfg.z_max, cfg.nx, cfg.nz),
+    }
+    for name, grid in grids.items():
+        assert grid.x_min == -grid.x_max, name
+        assert compute_delays(linear_array(4, 0.3e-3), grid, 100e6).mirrored, name
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,7 @@ import pytest
 
 from usbeam import ImageGrid, cli, log_compress, pipeline
 from usbeam.containers import read_image, read_rf, write_image
-from usbeam.metrics import LateralProfile, RegionSpec, lateral_profile, sidelobe_level
+from usbeam.metrics import LateralProfile, RegionSpec, gcnr, lateral_profile, sidelobe_level
 
 
 def run(args):
@@ -385,6 +385,17 @@ class TestMetrics:
         bck = env[RegionSpec.disc(-1.5e-3, 15e-3, 1e-3).mask(grid)]
         oracle = 20 * np.log10(cyst.mean() / bck.mean())
         assert value == pytest.approx(oracle, abs=1e-6)
+
+    def test_gcnr_row_matches_library(self, image, tmp_path, capsys):
+        regions = tmp_path / "regions.csv"
+        # the wire's disc against a background disc beside it, then a disc against itself
+        regions.write_text("gcnr,15,0,1.0,2.5,1.0\ngcnr,15,1.0,1.0,1.0,1.0\n")
+        assert run(["metrics", image, "--regions", str(regions)]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        env, grid = read_image(image)
+        value = gcnr(env, RegionSpec.disc(0.0, 15e-3, 1e-3), RegionSpec.disc(2.5e-3, 15e-3, 1e-3), grid)
+        assert rows[1:] == [f"15.000,gcnr,{value:.6f}", "15.000,gcnr,0.000000"]
+        assert 0.0 < value < 1.0
 
     def test_sidelobe_matches_library_on_windowed_profile(self, image, tmp_path, capsys):
         regions = tmp_path / "regions.csv"

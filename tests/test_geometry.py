@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from usbeam import ArrayGeometry, FilterSpec, ImageGrid, NoiseSpec, PulseModel, compute_delays, linear_array
 
@@ -180,3 +182,50 @@ def test_delay_column_equals_table_slice():
     assert values.shape == (13, 11, 8)
     for j in range(grid.nx):
         assert np.array_equal(table.column(j), values[:, j, :])
+
+
+# Grids of 1, 2, odd and even column counts, random extents of 1 um to 1 m
+# and random apertures; derandomized so every run draws the same examples.
+column_counts = st.one_of(
+    st.sampled_from((1, 2)),
+    st.integers(1, 150).map(lambda k: 2 * k + 1),
+    st.integers(2, 150).map(lambda k: 2 * k),
+)
+extents = st.floats(1e-6, 1.0)
+mirror_settings = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+
+
+@mirror_settings
+@given(extent=extents, nx=column_counts, m=st.integers(1, 64))
+def test_centred_grid_mirrors_each_column_pair_bit_for_bit(extent, nx, m):
+    grid = ImageGrid(x_min=-extent, x_max=extent, z_min=5e-3, z_max=25e-3, nx=nx, nz=3)
+    table = compute_delays(linear_array(m, 0.3e-3), grid, 100e6)
+    assert table.mirrored
+    for j in range(nx // 2):
+        assert np.array_equal(table.column(nx - 1 - j), table.column(j)[:, ::-1])
+    # linspace rounds the step, each product and each sum once, so a
+    # position and its mirror can disagree by a few ulps of the extent
+    assert np.array_equal(table.x_axis[: (nx + 1) // 2], grid.x_axis[: (nx + 1) // 2])
+    assert np.all(np.abs(table.x_axis - grid.x_axis) <= 4 * np.spacing(extent))
+
+
+@mirror_settings
+@given(x_min=st.floats(-1.0, 1.0), width=extents, nx=column_counts, m=st.integers(1, 64))
+def test_off_centre_grid_keeps_the_grid_positions(x_min, width, nx, m):
+    grid = ImageGrid(x_min=x_min, x_max=x_min + width, z_min=5e-3, z_max=25e-3, nx=nx, nz=3)
+    assume(grid.x_min != -grid.x_max)
+    table = compute_delays(linear_array(m, 0.3e-3), grid, 100e6)
+    assert not table.mirrored
+    assert np.array_equal(table.x_axis, grid.x_axis)
+
+
+# The wire and cyst rigs' grids and the CLI default grid, with the number
+# of right-half positions that are not exact negatives of their mirrors.
+@pytest.mark.parametrize("x_max,nx,moved", [(14e-3, 561, 165), (12e-3, 161, 67), (11e-3, 220, 71)],
+                         ids=["wire", "cyst", "cli-default"])
+def test_workload_grids_move_only_unmatched_positions_by_at_most_two_ulps(x_max, nx, moved):
+    grid = ImageGrid(x_min=-x_max, x_max=x_max, z_min=28e-3, z_max=66e-3, nx=nx, nz=3)
+    table = compute_delays(linear_array(64, 0.3e-3), grid, 100e6)
+    assert np.count_nonzero(table.x_axis != grid.x_axis) == moved
+    assert np.array_equal(grid.x_axis, np.linspace(-x_max, x_max, nx))
+    assert np.all(np.abs(table.x_axis - grid.x_axis) <= 2 * np.spacing(x_max))

@@ -8,6 +8,7 @@ from usbeam import (
     RegionSpec,
     cr,
     fwhm,
+    gcnr,
     lateral_profile,
     log_compress,
     sidelobe_level,
@@ -146,6 +147,73 @@ class TestContrastRatio:
         regions[empty] = RegionSpec.disc(0.25e-3, 30e-3, 1e-6)
         with pytest.raises(ValueError, match=f"^{empty} region contains no pixels$"):
             cr(np.ones((81, 41)), regions["cyst"], regions["background"], GRID)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_region_metrics_refuse_non_finite_pixels(bad):
+    img = np.ones((81, 41))
+    img[40, 10] = bad  # x = -5 mm, z = 30 mm
+    cyst = RegionSpec.disc(-5e-3, 30e-3, 2e-3)
+    bck = RegionSpec.disc(5e-3, 30e-3, 2e-3)
+    with pytest.raises(ValueError, match="^cyst region holds non-finite pixels$"):
+        cr(img, cyst, bck, GRID)
+    with pytest.raises(ValueError, match="^background region holds non-finite pixels$"):
+        cr(img, bck, cyst, GRID)
+    with pytest.raises(ValueError, match="^snr region holds non-finite pixels$"):
+        snr_region(img, cyst, GRID)
+
+
+class TestGcnr:
+    # two 9 x 9 pixel squares 20 columns apart; the half-widths fall between
+    # pixels, so both hold the same number of pixels
+    LEFT = RegionSpec.rect(-5e-3, 30e-3, 2.2e-3, 2.2e-3)
+    RIGHT = RegionSpec.rect(5e-3, 30e-3, 2.2e-3, 2.2e-3)
+
+    def speckle(self, seed):
+        return np.random.default_rng(seed).uniform(0.0, 1.0, size=(81, 41))
+
+    def test_disjoint_uniform_samples_give_one(self):
+        img = self.speckle(5)
+        right = self.RIGHT.mask(GRID)
+        img[right] = np.random.default_rng(6).uniform(2.0, 3.0, size=np.count_nonzero(right))
+        assert gcnr(img, self.LEFT, self.RIGHT, GRID) == 1.0
+
+    def test_identical_samples_give_zero(self):
+        img = self.speckle(7)
+        left, right = self.LEFT.mask(GRID), self.RIGHT.mask(GRID)
+        assert np.count_nonzero(left) == np.count_nonzero(right) == 81
+        img[right] = img[left][::-1]
+        assert gcnr(img, self.LEFT, self.RIGHT, GRID) == 0.0
+        assert gcnr(img, self.LEFT, self.LEFT, GRID) == 0.0
+
+    def test_bins_span_both_regions_and_close_the_last(self):
+        # two bins, [0, 1) and [1, 2]: the left square's 40 zeros and 41
+        # ones split over both, the right square's 2.0s fall in the last
+        img = np.zeros((81, 41))
+        img[self.LEFT.mask(GRID)] = np.arange(81) >= 40
+        img[self.RIGHT.mask(GRID)] = 2.0
+        assert gcnr(img, self.LEFT, self.RIGHT, GRID, bins=2) == pytest.approx(40 / 81, abs=1e-15)
+
+    def test_scale_invariance(self):
+        img = self.speckle(8)
+        img[self.RIGHT.mask(GRID)] *= 1.7
+        value = gcnr(img, self.LEFT, self.RIGHT, GRID)
+        assert 0.0 < value < 1.0
+        assert gcnr(img * 42.0, self.LEFT, self.RIGHT, GRID) == value
+
+    @pytest.mark.parametrize("bins", [0, 2.5, None, True])
+    def test_rejects_bad_bin_counts(self, bins):
+        with pytest.raises(ValueError, match="^bins must be an integer >= 1, got "):
+            gcnr(self.speckle(9), self.LEFT, self.RIGHT, GRID, bins=bins)
+
+    def test_rejects_empty_and_non_finite_regions(self):
+        empty = RegionSpec.disc(0.25e-3, 30e-3, 1e-6)
+        with pytest.raises(ValueError, match="^second region contains no pixels$"):
+            gcnr(self.speckle(10), self.LEFT, empty, GRID)
+        img = self.speckle(10)
+        img[self.LEFT.mask(GRID)] = np.nan
+        with pytest.raises(ValueError, match="^first region holds non-finite pixels$"):
+            gcnr(img, self.LEFT, self.RIGHT, GRID)
 
 
 class TestFwhm:

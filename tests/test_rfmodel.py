@@ -143,6 +143,19 @@ def test_fetch_block_shape():
         assert np.array_equal(out[r], fetch_delayed(frame, block[r]))
 
 
+def test_fetch_of_an_element_reversed_view_keeps_the_element_major_layout():
+    # beamform_image gathers a mirrored column from d[:, ::-1], d being the
+    # transpose of an element-major (M, nz) block, and reduces the result's
+    # transpose over axis 0 as it does an unreversed column's
+    rng = np.random.default_rng(6)
+    frame = make_frame(rng.normal(size=(6, 40)))
+    d = rng.uniform(-2.0, 41.0, size=(6, 13)).T
+    reversed_view = d[:, ::-1]
+    out = fetch_delayed(frame, reversed_view)
+    assert np.array_equal(out, fetch_delayed(frame, np.ascontiguousarray(reversed_view)))
+    assert out.T.flags.c_contiguous
+
+
 def test_fetch_rejects_wrong_element_count():
     frame = make_frame(np.zeros((4, 10)))
     with pytest.raises(ValueError):

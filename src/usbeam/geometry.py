@@ -110,9 +110,9 @@ class DelayTable:
     with. The grid axes are built once, with the table.
 
     Mirror rule: on a grid centred on the array (``x_min == -x_max``,
-    compared exactly) ``mirrored`` is true and the right half of
-    ``x_axis``, the lateral positions the delays use, is the negated left
-    half reversed. The array is antisymmetric bit for bit, so
+    compared exactly) ``mirrored`` is true and the right half of the
+    private lateral positions the delays use is the negated left half
+    reversed. The array is antisymmetric bit for bit, so
     ``column(nx - 1 - j)`` then equals ``column(j)[:, ::-1]`` bit for bit
     for every pair j < nx - 1 - j. ``linspace`` rounds a position and its
     mirror separately, so a moved position differs from ``grid.x_axis`` by
@@ -125,7 +125,7 @@ class DelayTable:
     grid: ImageGrid
     fs: float
     mirrored: bool = field(init=False, compare=False)
-    x_axis: np.ndarray = field(init=False, repr=False, compare=False)
+    _x_axis: np.ndarray = field(init=False, repr=False, compare=False)
     _z_axis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -136,7 +136,7 @@ class DelayTable:
             half = self.grid.nx // 2
             x[self.grid.nx - half :] = -x[:half][::-1]
         object.__setattr__(self, "mirrored", mirrored)
-        object.__setattr__(self, "x_axis", x)
+        object.__setattr__(self, "_x_axis", x)
         object.__setattr__(self, "_z_axis", self.grid.z_axis)
 
     def _delays(self, dx, z) -> np.ndarray:
@@ -157,13 +157,13 @@ class DelayTable:
         Computed element-major, as an (element_count, nz) block, and
         returned as its transpose, so each element's delays are contiguous.
         """
-        dx = self.x_axis[j] - self.geometry.element_x[:, None]
+        dx = self._x_axis[j] - self.geometry.element_x[:, None]
         return self._delays(dx, self._z_axis).T
 
     @property
     def values(self) -> np.ndarray:
         """The full (nz, nx, element_count) table, built on every read."""
-        dx = self.x_axis[:, None] - self.geometry.element_x
+        dx = self._x_axis[:, None] - self.geometry.element_x
         return self._delays(dx, self._z_axis[:, None, None])
 
 

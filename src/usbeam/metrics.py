@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import ImageGrid, _require_count, _require_finite_positive
+from .geometry import ImageGrid, _require_finite_positive
 
 
 class RegionShape(Enum):
@@ -108,24 +108,26 @@ def _region_pixels(img, region: RegionSpec, grid: ImageGrid, name: str) -> np.nd
     return pixels
 
 
-def gcnr(image, region_a: RegionSpec, region_b: RegionSpec, grid: ImageGrid, bins: int = 100) -> float:
+GCNR_BINS = 100
+
+
+def gcnr(image, region_a: RegionSpec, region_b: RegionSpec, grid: ImageGrid) -> float:
     """Generalized contrast-to-noise ratio (Rodriguez-Molares et al., IEEE
     TUFFC 2020) of two regions of the pre-log-compression intensity image:
     one minus the overlap of their pixel-value distributions, from 0 for
     identical distributions to 1 for disjoint ones.
 
-    Binning: ``bins`` equal-width bins span the smallest to the largest
-    pixel of both regions together, the last bin closed on the right
-    (``np.histogram``). Each region's counts are normalized by its pixel
+    Binning: ``GCNR_BINS`` (100) equal-width bins span the smallest to the
+    largest pixel of both regions together, the last bin closed on the
+    right (``np.histogram``). Each region's counts are normalized by its pixel
     count, and the overlap is the sum over bins of the smaller of the two.
     Each region must hold at least one pixel, and its pixels must be
     finite.
     """
-    _require_count("bins", bins, 1)
     img = np.asarray(image, dtype=float)
     a = _region_pixels(img, region_a, grid, "first")
     b = _region_pixels(img, region_b, grid, "second")
-    edges = np.histogram_bin_edges(np.concatenate((a, b)), bins)
+    edges = np.histogram_bin_edges(np.concatenate((a, b)), GCNR_BINS)
     count_a = np.histogram(a, edges)[0]
     count_b = np.histogram(b, edges)[0]
     # integer cross-multiplied counts, so equal distributions overlap exactly

@@ -176,13 +176,10 @@ def beamform_image(frame: RfFrame, delays: DelayTable, kind: BeamformerKind):
     table is never built. The output equals per-pixel application of the
     corresponding kernel up to rounding order.
 
-    On a mirrored table (a centred grid, see :class:`DelayTable`) the work
-    items are the (nx + 1) // 2 mirror pairs: item j computes column j's
-    delays once, gathers column j from them and column nx - 1 - j from
-    their element-reversed view, which equals that column's own delays bit
-    for bit. Otherwise the items are the nx columns. Either way
-    ``fetch_delayed`` is called once per column with an (nz, M) block, and
-    every column equals ``kernel(fetch_delayed(frame, delays.column(j)).T)``
+    Item j is column j or, on a mirrored table (see :class:`DelayTable`),
+    columns j and nx - 1 - j, the second gathered from the first's delays
+    reversed over the elements. Each column has its own ``fetch_delayed``
+    call and equals ``kernel(fetch_delayed(frame, delays.column(j)).T)``
     bit for bit.
 
     Items are independent, so they are split over the CPUs the process

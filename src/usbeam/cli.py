@@ -17,7 +17,8 @@ from .beamformers import BeamformerKind
 from .config import RunConfig, load_config
 from .dsp import FilterSpec, log_compress
 from .geometry import ImageGrid, linear_array
-from .metrics import LateralProfile, RegionSpec, cr, fwhm, gcnr, lateral_profile, sidelobe_level, snr_region
+from .metrics import (GCNR_BINS, LateralProfile, RegionSpec, cr, fwhm, gcnr, lateral_profile, sidelobe_level,
+                      snr_region)
 from .pipeline import default_filter, reconstruct_envelope
 from .simulator import (
     NoiseSpec,
@@ -34,6 +35,10 @@ from .simulator import (
 # Dynamic range used when metrics need a dB profile; deep enough that the
 # floor never clips a measurable feature.
 _METRICS_DB_RANGE = 400.0
+
+PHANTOMS = ("wires", "cysts", "tumor", "custom")
+# settings flags spelled other than --field-name
+_FLAG_NAMES = {"filter_half_bandwidth": "--filter-half-bw"}
 
 
 def _parse_custom_scatterers(text: str) -> np.ndarray:
@@ -66,7 +71,7 @@ def build_phantom(cfg: RunConfig) -> Phantom:
             x_bounds=(float(pts[:, 0].min()), float(pts[:, 0].max())),
             z_bounds=(float(pts[:, 1].min()), float(pts[:, 1].max())),
         )
-    raise ValueError(f"unknown phantom {cfg.phantom!r} (wires, cysts, tumor or custom)")
+    raise ValueError(f"unknown phantom {cfg.phantom!r} (one of {', '.join(PHANTOMS)})")
 
 
 def cmd_simulate(args) -> int:
@@ -221,53 +226,50 @@ def cmd_profile(args) -> int:
     return 0
 
 
+def _add_settings(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Add ``--config`` and a flag for each named RunConfig field: spelled
+    ``--field-name`` unless _FLAG_NAMES keeps another spelling, and typed
+    like the field's default, as load_config types file values."""
+    parser.add_argument("--config", help="key=value config file")
+    defaults = RunConfig()
+    for name in names:
+        default = getattr(defaults, name)
+        parser.add_argument(_FLAG_NAMES.get(name, "--" + name.replace("_", "-")), dest=name,
+                            type=type(default), choices=PHANTOMS if name == "phantom" else None,
+                            help=f"default {default!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="usbeam",
         description="Linear-array ultrasound reconstruction pipeline "
-        "(simulate, beamform, metrics, render, profile).",
+        "(simulate, beamform, metrics, render, profile). Settings are SI "
+        "units (m, Hz, m/s) or dB; flags override a --config file.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="synthesize an RF channel-data container")
-    sim.add_argument("--config", help="key=value config file")
-    sim.add_argument("--phantom", choices=["wires", "cysts", "tumor", "custom"])
-    sim.add_argument("--elements", type=int)
-    sim.add_argument("--pitch", type=float, help="element pitch in meters")
-    sim.add_argument("--f0", type=float, help="center frequency in Hz")
-    sim.add_argument("--fs", type=float, help="sampling rate in Hz")
-    sim.add_argument("--c", type=float, help="sound speed in m/s")
-    sim.add_argument("--cycles", type=int, help="excitation cycles")
-    sim.add_argument("--snr-db", dest="snr_db", type=float, help="noise target; >=300 disables")
-    sim.add_argument("--seed", type=int, help="noise seed")
-    sim.add_argument("--pair-separation", dest="pair_separation", type=float)
-    sim.add_argument("--speckle-density", dest="speckle_density", type=float)
-    sim.add_argument("--speckle-seed", dest="speckle_seed", type=int)
-    sim.add_argument("--custom-scatterers", dest="custom_scatterers")
+    sim = sub.add_parser("simulate", help="synthesize an RF channel-data container",
+                         description="Synthesize an RF channel-data container. "
+                         "An --snr-db of 300 or more adds no noise.")
+    _add_settings(sim, "phantom", "elements", "pitch", "f0", "fs", "c", "cycles", "snr_db", "seed",
+                  "pair_separation", "speckle_density", "speckle_seed", "custom_scatterers")
     sim.add_argument("--out", required=True, help="output RF container path")
     sim.set_defaults(func=cmd_simulate)
 
-    bf = sub.add_parser("beamform", help="reconstruct an envelope image from RF data")
+    bf = sub.add_parser("beamform", help="reconstruct an envelope image from RF data",
+                        description="Reconstruct an envelope image from RF data. "
+                        "A --filter-center of 0 selects f0 (das) or 2*f0 (dmas, dsdmas).")
     bf.add_argument("rf_path", help="input RF container")
     bf.add_argument("--algo", required=True, choices=[kind.value for kind in BeamformerKind])
-    bf.add_argument("--config", help="key=value config file")
-    for name in ("x-min", "x-max", "z-min", "z-max"):
-        bf.add_argument(f"--{name}", dest=name.replace("-", "_"), type=float,
-                        help=f"grid {name.replace('-', '_')} in meters")
-    bf.add_argument("--nx", type=int, help="lateral pixel count")
-    bf.add_argument("--nz", type=int, help="axial pixel count")
-    bf.add_argument("--filter-taps", dest="filter_taps", type=int)
-    bf.add_argument("--filter-half-bw", dest="filter_half_bandwidth", type=float)
-    bf.add_argument("--filter-center", dest="filter_center", type=float,
-                    help="band center in Hz; 0 selects f0 (das) or 2*f0")
+    _add_settings(bf, "x_min", "x_max", "z_min", "z_max", "nx", "nz",
+                  "filter_taps", "filter_half_bandwidth", "filter_center")
     bf.add_argument("--out", required=True, help="output image container path")
     bf.add_argument("--report", help="also write the op-count report here")
     bf.set_defaults(func=cmd_beamform)
 
     ren = sub.add_parser("render", help="render an image container to a PGM")
     ren.add_argument("image_path")
-    ren.add_argument("--config", help="key=value config file")
-    ren.add_argument("--dynamic-range", dest="dynamic_range", type=float, help="display range in dB")
+    _add_settings(ren, "dynamic_range")
     ren.add_argument("--out", required=True, help="output PGM path")
     ren.set_defaults(func=cmd_render)
 
@@ -276,15 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
     met.add_argument("--regions", required=True,
                      help="region file: snr,depth,x,hx,hz | fwhm,depth,x,window | "
                           "sidelobe,depth,x,window | cr,depth,cx,cr,bx,br | "
-                          "gcnr,depth,cx,cr,bx,br (all mm; gCNR over 100 bins)")
+                          f"gcnr,depth,cx,cr,bx,br (all mm; gCNR over {GCNR_BINS} bins)")
     met.add_argument("--out", help="also write the CSV report here")
     met.set_defaults(func=cmd_metrics)
 
     prof = sub.add_parser("profile", help="export a lateral dB profile at a depth")
     prof.add_argument("image_path")
-    prof.add_argument("--config", help="key=value config file")
+    _add_settings(prof, "dynamic_range")
     prof.add_argument("--depth-mm", dest="depth_mm", type=float, required=True)
-    prof.add_argument("--dynamic-range", dest="dynamic_range", type=float)
     prof.add_argument("--out", required=True, help="output CSV path")
     prof.set_defaults(func=cmd_profile)
 

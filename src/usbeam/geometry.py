@@ -82,7 +82,14 @@ class ImageGrid:
 
     @property
     def x_axis(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.nx)
+        """Lateral positions, laid out about the span's midpoint as
+        ``ArrayGeometry`` lays out its elements, so a centred grid
+        (``x_min == -x_max``) is antisymmetric bit for bit. One column sits
+        at ``x_min``."""
+        if self.nx == 1:
+            return np.array([self.x_min], dtype=float)
+        step = (self.x_max - self.x_min) / (self.nx - 1)
+        return 0.5 * (self.x_min + self.x_max) + (np.arange(self.nx) - (self.nx - 1) / 2) * step
 
     @property
     def z_axis(self) -> np.ndarray:
@@ -109,16 +116,9 @@ class DelayTable:
     the table bit for bit. fs is the sampling rate the delays are scaled
     with. The grid axes are built once, with the table.
 
-    Mirror rule: on a grid centred on the array (``x_min == -x_max``,
-    compared exactly) ``mirrored`` is true and the right half of the
-    private lateral positions the delays use is the negated left half
-    reversed. The array is antisymmetric bit for bit, so
-    ``column(nx - 1 - j)`` then equals ``column(j)[:, ::-1]`` bit for bit
-    for every pair j < nx - 1 - j. ``linspace`` rounds a position and its
-    mirror separately, so a moved position differs from ``grid.x_axis`` by
-    a few ulps of ``x_max`` (at most 2 on the acceptance and CLI grids).
-    ``grid.x_axis`` itself is unchanged, so region and profile masks do
-    not move.
+    ``mirrored`` is true on a grid centred on the array (``x_min ==
+    -x_max``, compared exactly), whose ``x_axis`` is antisymmetric, so
+    ``column(nx - 1 - j)`` equals ``column(j)[:, ::-1]`` bit for bit.
     """
 
     geometry: ArrayGeometry
@@ -130,13 +130,8 @@ class DelayTable:
 
     def __post_init__(self):
         _require_finite_positive("fs", self.fs)
-        x = self.grid.x_axis
-        mirrored = self.grid.x_min == -self.grid.x_max
-        if mirrored:
-            half = self.grid.nx // 2
-            x[self.grid.nx - half :] = -x[:half][::-1]
-        object.__setattr__(self, "mirrored", mirrored)
-        object.__setattr__(self, "_x_axis", x)
+        object.__setattr__(self, "mirrored", self.grid.x_min == -self.grid.x_max)
+        object.__setattr__(self, "_x_axis", self.grid.x_axis)
         object.__setattr__(self, "_z_axis", self.grid.z_axis)
 
     def _delays(self, dx, z) -> np.ndarray:

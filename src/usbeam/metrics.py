@@ -88,12 +88,15 @@ def cr(image, cyst: RegionSpec, background: RegionSpec, grid: ImageGrid) -> floa
     """Contrast ratio in dB: 20 log10(mean cyst / mean background) on the
     pre-log-compression intensity image. More negative is better anechoic
     contrast; an exactly empty cyst reports -inf. Each region must hold at
-    least one pixel, and its pixels must be finite."""
+    least one pixel, and its pixels must be finite; a negative cyst mean or
+    a background mean that is not positive is refused."""
     img = np.asarray(image, dtype=float)
     mu_cyst = float(np.mean(_region_pixels(img, cyst, grid, "cyst")))
     mu_bck = float(np.mean(_region_pixels(img, background, grid, "background")))
     if not mu_bck > 0:
-        raise ValueError("background region has zero mean intensity")
+        raise ValueError("background region has non-positive mean intensity")
+    if mu_cyst < 0.0:
+        raise ValueError("cyst region has negative mean intensity")
     if mu_cyst == 0.0:
         return float("-inf")
     return 20.0 * np.log10(mu_cyst / mu_bck)

@@ -27,6 +27,7 @@ from usbeam import (
     Phantom,
     PulseModel,
     beamformers,
+    cli,
     compute_delays,
     containers,
     linear_array,
@@ -107,6 +108,20 @@ def test_attributes_and_kind_values():
     for field in ("x_min", "x_max", "z_min", "z_max", "nx", "nz",
                   "filter_center", "filter_half_bandwidth", "filter_taps"):
         assert hasattr(RunConfig, field)
+
+
+def test_cli_default_command_lines_parse():
+    # the cli-default workload runs these three command lines; the noise
+    # seed must arrive as an int
+    parser = cli.build_parser()
+    sim = parser.parse_args(["simulate", "--seed", "601", "--out", "frame.urf"])
+    assert (sim.func, sim.seed, sim.out) == (cli.cmd_simulate, 601, "frame.urf")
+    assert type(sim.seed) is int
+    bf = parser.parse_args(["beamform", "frame.urf", "--algo", "dsdmas", "--out", "d.uim", "--report", "d.txt"])
+    assert (bf.func, bf.rf_path, bf.algo, bf.out, bf.report) == (
+        cli.cmd_beamform, "frame.urf", "dsdmas", "d.uim", "d.txt")
+    ren = parser.parse_args(["render", "d.uim", "--out", "d.pgm"])
+    assert (ren.func, ren.image_path, ren.out) == (cli.cmd_render, "d.uim", "d.pgm")
 
 
 def test_run_config_defaults_build_the_oracles_grid_and_band():

@@ -645,3 +645,30 @@ class TestConfig:
         cfg.write_text("fs = 1e6\n")  # violates fs > 2 f0
         assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.urf")]) == 1
         assert "fs" in capsys.readouterr().err
+
+
+# Every flag of each subcommand (of the whole program: its subcommands)
+# and the notes its help must keep. argparse formats help only when asked,
+# so a help string it cannot format fails here and nowhere else.
+HELP_LISTS = {
+    None: ["simulate", "beamform", "render", "metrics", "profile"],
+    "simulate": ["--config", "--phantom", "--elements", "--pitch", "--f0", "--fs", "--c", "--cycles",
+                 "--snr-db", "--seed", "--pair-separation", "--speckle-density", "--speckle-seed",
+                 "--custom-scatterers", "--out", "300 or more adds no noise"],
+    "beamform": ["--algo", "--config", "--x-min", "--x-max", "--z-min", "--z-max", "--nx", "--nz",
+                 "--filter-taps", "--filter-half-bw", "--filter-center", "--out", "--report",
+                 "--filter-center of 0 selects f0"],
+    "render": ["--config", "--dynamic-range DYNAMIC_RANGE default 70.0", "--out"],
+    "metrics": ["--regions", "--out", "gCNR over 100 bins"],
+    "profile": ["--config", "--dynamic-range", "--depth-mm", "--out"],
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_LISTS), ids=lambda c: c or "usbeam")
+def test_help_exits_zero_and_lists_every_flag(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run([command, "--help"] if command else ["--help"])
+    assert excinfo.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for item in HELP_LISTS[command]:
+        assert re.search(rf"(?<![\w-]){re.escape(item)}(?![\w-])", text), item

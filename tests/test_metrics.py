@@ -137,6 +137,20 @@ class TestContrastRatio:
         with pytest.raises(ValueError):
             cr(img, cyst, bck, GRID)
 
+    @pytest.mark.parametrize("negative,message", [
+        ("cyst", "cyst region has negative mean intensity"),
+        ("background", "background region has non-positive mean intensity"),
+    ])
+    def test_negative_region_mean_is_named(self, negative, message):
+        regions = {
+            "cyst": RegionSpec.disc(-4e-3, 30e-3, 2e-3),
+            "background": RegionSpec.disc(4e-3, 30e-3, 2e-3),
+        }
+        img = np.ones((81, 41))
+        img[regions[negative].mask(GRID)] = -1.0
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cr(img, regions["cyst"], regions["background"], GRID)
+
     @pytest.mark.parametrize("empty", ["cyst", "background"])
     def test_region_without_pixels_is_named(self, empty):
         # a 1 um disc midway between pixel columns 0.5 mm apart

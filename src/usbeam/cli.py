@@ -65,12 +65,7 @@ def build_phantom(cfg: RunConfig) -> Phantom:
     if cfg.phantom == "tumor":
         return make_tumor_phantom(cfg.speckle_seed, cfg.speckle_density)
     if cfg.phantom == "custom":
-        pts = _parse_custom_scatterers(cfg.custom_scatterers)
-        return Phantom(
-            scatterers=pts,
-            x_bounds=(float(pts[:, 0].min()), float(pts[:, 0].max())),
-            z_bounds=(float(pts[:, 1].min()), float(pts[:, 1].max())),
-        )
+        return Phantom(_parse_custom_scatterers(cfg.custom_scatterers))
     raise ValueError(f"unknown phantom {cfg.phantom!r} (one of {', '.join(PHANTOMS)})")
 
 

@@ -42,12 +42,11 @@ class NoiseSpec:
 
 @dataclass(frozen=True, eq=False)
 class Phantom:
-    """Scene description: scatterers[:, (x, z, amplitude)] plus the
-    bounding box that the scatterers must lie in."""
+    """Scene description: scatterers[:, (x, z, amplitude)], every one
+    below the array face (z > 0). The scatterers' own extent sets the
+    length of the frames synthesized from them."""
 
     scatterers: np.ndarray
-    x_bounds: tuple[float, float]
-    z_bounds: tuple[float, float]
 
     def __post_init__(self):
         s = np.asarray(self.scatterers, dtype=float)
@@ -55,21 +54,8 @@ class Phantom:
             raise ValueError("scatterers must be an (N, 3) array of (x, z, amplitude)")
         if not np.all(np.isfinite(s)):
             raise ValueError("scatterer entries must be finite")
-        for name in ("x_bounds", "z_bounds"):
-            bounds = getattr(self, name)
-            if not np.all(np.isfinite(bounds)):
-                raise ValueError(f"{name} must be finite, got {bounds!r}")
-        if not self.z_bounds[0] > 0:
-            raise ValueError("scatterers must lie below the array face (z_bounds[0] > 0)")
-        if s.shape[0]:
-            x, z = s[:, 0], s[:, 1]
-            if (
-                x.min() < self.x_bounds[0]
-                or x.max() > self.x_bounds[1]
-                or z.min() < self.z_bounds[0]
-                or z.max() > self.z_bounds[1]
-            ):
-                raise ValueError("scatterers must lie inside the declared bounding box")
+        if not np.all(s[:, 1] > 0):
+            raise ValueError("scatterers must lie below the array face (every z > 0)")
         object.__setattr__(self, "scatterers", s)
 
 
@@ -115,12 +101,7 @@ def make_wire_phantom(pair_separation: float = DEFAULT_PAIR_SEPARATION) -> Phant
         pts.append((-pair_separation / 2.0, z, 1.0))
         pts.append((pair_separation / 2.0, z, 1.0))
     pts.sort(key=lambda p: (p[1], p[0]))
-    half = pair_separation / 2.0
-    return Phantom(
-        scatterers=np.array(pts, dtype=float),
-        x_bounds=(-half, half),
-        z_bounds=(WIRE_SINGLE_DEPTHS[0], WIRE_SINGLE_DEPTHS[1]),
-    )
+    return Phantom(np.array(pts, dtype=float))
 
 
 def _speckle(seed: int, speckle_density: float, x_bounds, z_bounds):
@@ -148,11 +129,7 @@ def make_cyst_phantom(seed: int = 2024, speckle_density: float = DEFAULT_SPECKLE
         for cx, radius in ((CYST_WIDE_X, CYST_WIDE_RADIUS), (CYST_NARROW_X, CYST_NARROW_RADIUS)):
             inside = (x - cx) ** 2 + (z - cz) ** 2 <= radius**2
             amp[inside] = 0.0
-    return Phantom(
-        scatterers=np.column_stack([x, z, amp]),
-        x_bounds=_CYST_X_BOUNDS,
-        z_bounds=_CYST_Z_BOUNDS,
-    )
+    return Phantom(np.column_stack([x, z, amp]))
 
 
 def make_tumor_phantom(seed: int = 2024, speckle_density: float = DEFAULT_SPECKLE_DENSITY) -> Phantom:
@@ -164,11 +141,7 @@ def make_tumor_phantom(seed: int = 2024, speckle_density: float = DEFAULT_SPECKL
     amp[inside] *= TUMOR_AMPLITUDE_GAIN
     scatterers = np.column_stack([x, z, amp])
     wire = np.array([[TUMOR_WIRE_POSITION[0], TUMOR_WIRE_POSITION[1], TUMOR_WIRE_AMPLITUDE]])
-    return Phantom(
-        scatterers=np.vstack([scatterers, wire]),
-        x_bounds=_TUMOR_X_BOUNDS,
-        z_bounds=_TUMOR_Z_BOUNDS,
-    )
+    return Phantom(np.vstack([scatterers, wire]))
 
 
 def pulse_waveform(pulse: PulseModel, fs: float) -> np.ndarray:
@@ -230,8 +203,12 @@ def synthesize_rf(
     Returns
     -------
     RfFrame
-        Recorded by ``geometry``; the sample count covers the deepest
-        possible round trip plus the pulse length.
+        Recorded by ``geometry``. The sample count is
+        ``ceil(fs * (z_max + hypot(x_max + e_max, z_max)) / c)`` plus the
+        length of :func:`round_trip_pulse` plus 2, where z_max is the
+        scatterers' largest z, x_max their largest |x| and e_max the
+        largest |element_x|. That covers the latest arrival of any
+        scatterer at any element, plus the pulse.
     """
     scatterers = phantom.scatterers
     if scatterers.shape[0] == 0:
@@ -241,13 +218,12 @@ def synthesize_rf(
     c = geometry.sound_speed
     ex = geometry.element_x
     m = geometry.element_count
-    x_abs_max = max(abs(phantom.x_bounds[0]), abs(phantom.x_bounds[1]))
-    z_max = phantom.z_bounds[1]
-    r_bound = math.hypot(x_abs_max + float(np.max(np.abs(ex))), z_max)
+    sx, sz, amp = scatterers.T
+    z_max = float(np.max(sz))
+    r_bound = math.hypot(float(np.max(np.abs(sx))) + float(np.max(np.abs(ex))), z_max)
     k_count = int(math.ceil(fs * (z_max + r_bound) / c)) + p.size + 2
 
     samples = np.empty((m, k_count))
-    sx, sz, amp = scatterers.T
 
     def fill(channels) -> None:
         for i in channels:

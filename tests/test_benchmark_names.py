@@ -172,7 +172,7 @@ def test_every_workload_grid_is_centred():
 @pytest.fixture(scope="module")
 def tiny():
     geom = linear_array(4, 0.3e-3)
-    phantom = Phantom(np.array([[0.0, 20e-3, 1.0]]), x_bounds=(0.0, 0.0), z_bounds=(20e-3, 20e-3))
+    phantom = Phantom(np.array([[0.0, 20e-3, 1.0]]))
     frame = synthesize_rf(phantom, geom, PulseModel(f0=3e6), 100e6)
     grid = ImageGrid(x_min=-0.5e-3, x_max=0.5e-3, z_min=19e-3, z_max=21e-3, nx=3, nz=40)
     return frame, compute_delays(geom, grid, 100e6), grid

@@ -30,7 +30,7 @@ FS = 100e6
 @pytest.fixture(scope="module")
 def scene():
     geom = linear_array(8, 0.3e-3)
-    phantom = Phantom(np.array([[0.0, 33e-3, 1.0]]), x_bounds=(0.0, 0.0), z_bounds=(33e-3, 33e-3))
+    phantom = Phantom(np.array([[0.0, 33e-3, 1.0]]))
     frame = synthesize_rf(phantom, geom, PulseModel(f0=3e6), FS)
     grid = ImageGrid(x_min=-1e-3, x_max=1e-3, z_min=30e-3, z_max=36e-3, nx=5, nz=300)
     return frame, geom, grid
@@ -107,7 +107,7 @@ def test_reconstruction_holds_one_image(cpus):
     # at once shows in the peak.
     cpus(2)
     geom = linear_array(4, 0.3e-3)
-    phantom = Phantom(np.array([[0.0, 40e-3, 1.0]]), x_bounds=(0.0, 0.0), z_bounds=(40e-3, 40e-3))
+    phantom = Phantom(np.array([[0.0, 40e-3, 1.0]]))
     frame = synthesize_rf(phantom, geom, PulseModel(f0=3e6), FS)
     grid = ImageGrid(x_min=-2e-3, x_max=2e-3, z_min=30e-3, z_max=50e-3, nx=512, nz=512)
     delays = compute_delays(geom, grid, FS)

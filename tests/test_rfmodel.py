@@ -67,8 +67,7 @@ def test_frame_rejects_non_finite_metadata(field, value):
 # would ask an array for its truth value, and hash would fail on it.
 @pytest.mark.parametrize("make", [
     lambda: make_frame(np.ones((2, 4))),
-    lambda: Phantom(np.array([[0.0, 20e-3, 1.0], [0.0, 20e-3, 0.5]]),
-                    x_bounds=(0.0, 0.0), z_bounds=(20e-3, 20e-3)),
+    lambda: Phantom(np.array([[0.0, 20e-3, 1.0], [0.0, 20e-3, 0.5]])),
     lambda: LateralProfile(depth=20e-3, x=np.array([0.0, 1e-3]), value_db=np.array([0.0, -6.0])),
 ], ids=["RfFrame", "Phantom", "LateralProfile"])
 def test_array_holding_values_compare_by_identity(make):

@@ -116,6 +116,20 @@ class TestPhantoms:
         with pytest.raises(ValueError, match=r"below the array face \(every z > 0\)"):
             Phantom(np.array([[0.0, 10e-3, 1.0], [1e-3, z, 1.0]]))
 
+    @pytest.mark.parametrize("column", ["x", "z", "amplitude"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_phantom_rejects_non_finite_scatterers(self, column, bad):
+        # the bad entry sits in the second row, after a valid scatterer
+        s = np.array([[0.0, 10e-3, 1.0], [1e-3, 12e-3, 0.5]])
+        s[1, ["x", "z", "amplitude"].index(column)] = bad
+        with pytest.raises(ValueError, match="^scatterer entries must be finite"):
+            Phantom(s)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2), (2, 4), (1, 3, 1)])
+    def test_phantom_rejects_arrays_not_n_by_3(self, shape):
+        with pytest.raises(ValueError, match=r"^scatterers must be an \(N, 3\) array"):
+            Phantom(np.full(shape, 10e-3))
+
 
 class TestPulse:
     def test_waveform_duration(self):

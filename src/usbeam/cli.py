@@ -16,7 +16,7 @@ from . import containers
 from .beamformers import BeamformerKind
 from .config import RunConfig, load_config
 from .dsp import FilterSpec, log_compress
-from .geometry import ImageGrid, linear_array
+from .geometry import ArrayGeometry, ImageGrid
 from .metrics import (GCNR_BINS, LateralProfile, RegionSpec, cr, fwhm, gcnr, lateral_profile, sidelobe_level,
                       snr_region)
 from .pipeline import default_filter, reconstruct_envelope
@@ -72,7 +72,7 @@ def build_phantom(cfg: RunConfig) -> Phantom:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config, vars(args))
     noise = NoiseSpec(target_snr_db=cfg.snr_db, seed=cfg.seed)
-    geometry = linear_array(cfg.elements, cfg.pitch, cfg.c)
+    geometry = ArrayGeometry(cfg.elements, cfg.pitch, cfg.c)
     containers.check_rf_elements(geometry.element_count)
     phantom = build_phantom(cfg)
     pulse = PulseModel(f0=cfg.f0, cycles=cfg.cycles)
@@ -224,14 +224,15 @@ def cmd_profile(args) -> int:
 def _add_settings(parser: argparse.ArgumentParser, *names: str) -> None:
     """Add ``--config`` and a flag for each named RunConfig field: spelled
     ``--field-name`` unless _FLAG_NAMES keeps another spelling, and typed
-    like the field's default, as load_config types file values."""
+    like the field's default, as load_config types file values. argparse
+    takes most values that start with '-' for flags, hence the help's note."""
     parser.add_argument("--config", help="key=value config file")
     defaults = RunConfig()
     for name in names:
         default = getattr(defaults, name)
-        parser.add_argument(_FLAG_NAMES.get(name, "--" + name.replace("_", "-")), dest=name,
-                            type=type(default), choices=PHANTOMS if name == "phantom" else None,
-                            help=f"default {default!r}")
+        flag = _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+        parser.add_argument(flag, dest=name, type=type(default), choices=PHANTOMS if name == "phantom" else None,
+                            help=f"default {default!r}; write {flag}=VALUE if VALUE starts with -")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,7 +296,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

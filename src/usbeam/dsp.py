@@ -37,14 +37,15 @@ class FilterSpec:
         _require_finite_positive("center", self.center)
         _require_finite_positive("half_bandwidth", self.half_bandwidth)
         if not self.center - self.half_bandwidth > 0:
-            raise ValueError("passband must not reach DC")
+            raise ValueError(f"passband must not reach DC: center {self.center:.6g} Hz, "
+                             f"half-width {self.half_bandwidth:.6g} Hz")
 
     def validate_rate(self, fs: float) -> None:
         _require_finite_positive("fs", fs)
         if not self.center + self.half_bandwidth < fs / 2.0:
             raise ValueError(
                 f"passband edge {self.center + self.half_bandwidth:.6g} Hz reaches "
-                f"the Nyquist limit for fs={fs:.6g} Hz"
+                f"the Nyquist limit of a line sampled at {fs:.6g} Hz"
             )
 
     def validate_line(self, n: int, fs: float) -> None:

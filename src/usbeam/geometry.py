@@ -29,28 +29,30 @@ class ArrayGeometry:
     pitch : float
         Center-to-center element spacing in meters.
     sound_speed : float
-        Propagation speed in m/s.
+        Propagation speed in m/s, 1540 by default.
 
     The lateral element positions, ``element_x``, are derived from the
-    count and pitch: ``(arange(M) - (M - 1) / 2) * pitch``, in meters.
+    count and pitch: ``(arange(M) - (M - 1) / 2) * pitch``, in meters, and
+    are read-only, so two equal arrays always give the same delays.
     """
 
     element_count: int
     pitch: float
-    sound_speed: float
+    sound_speed: float = 1540.0
     element_x: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require_count("element_count", self.element_count, 1)
         _require_finite_positive("pitch", self.pitch)
         _require_finite_positive("sound_speed", self.sound_speed)
-        idx = np.arange(self.element_count, dtype=float)
-        object.__setattr__(self, "element_x", (idx - (self.element_count - 1) / 2.0) * self.pitch)
+        element_x = (np.arange(self.element_count, dtype=float) - (self.element_count - 1) / 2.0) * self.pitch
+        element_x.flags.writeable = False
+        object.__setattr__(self, "element_x", element_x)
 
 
-def linear_array(element_count: int, pitch: float, sound_speed: float = 1540.0) -> ArrayGeometry:
-    """Build a uniform linear array centered on x = 0."""
-    return ArrayGeometry(element_count, pitch, sound_speed)
+# A second name for the constructor, kept because perfbench/workloads.py
+# calls it; ROADMAP item 3 deletes it with the benchmark's other old names.
+linear_array = ArrayGeometry
 
 
 @dataclass(frozen=True)

@@ -73,8 +73,7 @@ class RegionSpec:
 def snr_region(image, region: RegionSpec, grid: ImageGrid) -> float:
     """Region SNR in dB: 20 log10((max - min) / std) over the region's
     pixels of a pre-log-compression intensity image; they must be finite."""
-    img = np.asarray(image, dtype=float)
-    pixels = _region_pixels(img, region, grid, "snr")
+    pixels = _region_pixels(image, region, grid, "snr")
     if pixels.size < 2:
         raise ValueError("region must contain at least 2 pixels")
     spread = float(np.max(pixels) - np.min(pixels))
@@ -90,9 +89,8 @@ def cr(image, cyst: RegionSpec, background: RegionSpec, grid: ImageGrid) -> floa
     contrast; an exactly empty cyst reports -inf. Each region must hold at
     least one pixel, and its pixels must be finite; a negative cyst mean or
     a background mean that is not positive is refused."""
-    img = np.asarray(image, dtype=float)
-    mu_cyst = float(np.mean(_region_pixels(img, cyst, grid, "cyst")))
-    mu_bck = float(np.mean(_region_pixels(img, background, grid, "background")))
+    mu_cyst = float(np.mean(_region_pixels(image, cyst, grid, "cyst")))
+    mu_bck = float(np.mean(_region_pixels(image, background, grid, "background")))
     if not mu_bck > 0:
         raise ValueError("background region has non-positive mean intensity")
     if mu_cyst < 0.0:
@@ -102,8 +100,8 @@ def cr(image, cyst: RegionSpec, background: RegionSpec, grid: ImageGrid) -> floa
     return 20.0 * np.log10(mu_cyst / mu_bck)
 
 
-def _region_pixels(img, region: RegionSpec, grid: ImageGrid, name: str) -> np.ndarray:
-    pixels = img[region.mask(grid)]
+def _region_pixels(image, region: RegionSpec, grid: ImageGrid, name: str) -> np.ndarray:
+    pixels = np.asarray(image, dtype=float)[region.mask(grid)]
     if pixels.size == 0:
         raise ValueError(f"{name} region contains no pixels")
     if not np.all(np.isfinite(pixels)):
@@ -127,9 +125,8 @@ def gcnr(image, region_a: RegionSpec, region_b: RegionSpec, grid: ImageGrid) -> 
     Each region must hold at least one pixel, and its pixels must be
     finite.
     """
-    img = np.asarray(image, dtype=float)
-    a = _region_pixels(img, region_a, grid, "first")
-    b = _region_pixels(img, region_b, grid, "second")
+    a = _region_pixels(image, region_a, grid, "first")
+    b = _region_pixels(image, region_b, grid, "second")
     edges = np.histogram_bin_edges(np.concatenate((a, b)), GCNR_BINS)
     count_a = np.histogram(a, edges)[0]
     count_b = np.histogram(b, edges)[0]

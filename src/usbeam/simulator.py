@@ -44,18 +44,20 @@ class NoiseSpec:
 class Phantom:
     """Scene description: scatterers[:, (x, z, amplitude)], every one
     below the array face (z > 0). The scatterers' own extent sets the
-    length of the frames synthesized from them."""
+    length of the frames synthesized from them. The phantom holds a
+    read-only copy of them, so it never aliases the caller's array."""
 
     scatterers: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.scatterers, dtype=float)
+        s = np.array(self.scatterers, dtype=float)
         if s.ndim != 2 or s.shape[1] != 3:
             raise ValueError("scatterers must be an (N, 3) array of (x, z, amplitude)")
         if not np.all(np.isfinite(s)):
             raise ValueError("scatterer entries must be finite")
         if not np.all(s[:, 1] > 0):
             raise ValueError("scatterers must lie below the array face (every z > 0)")
+        s.flags.writeable = False
         object.__setattr__(self, "scatterers", s)
 
 

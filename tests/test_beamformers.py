@@ -232,6 +232,8 @@ class TestOpCount:
             op_count(BeamformerKind.DMAS, 1)
         with pytest.raises(ValueError):
             op_count(BeamformerKind.DSDMAS, 2)
+        with pytest.raises(ValueError, match="^unknown beamformer kind: 'das'$"):
+            op_count("das", 4)
 
     @staticmethod
     def op_count_message(kind, size):
@@ -253,6 +255,10 @@ class TestOpCount:
     def test_too_short_vectors_raise_the_op_count_message_in_references(self, reference_fn, kind, size):
         with pytest.raises(ValueError, match=self.op_count_message(kind, size)):
             reference_fn(np.ones(size))
+
+    def test_delayed_samples_must_be_a_vector(self):
+        with pytest.raises(ValueError, match="^delayed samples must form a 1-D vector$"):
+            beamform_pixel(np.ones((2, 4)), BeamformerKind.DAS)
 
 
 class TestBeamformImage:

@@ -1,10 +1,16 @@
+import io
+import os
 import re
 import struct
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from usbeam import ImageGrid, cli, log_compress, pipeline
+from usbeam import BeamformerKind, ImageGrid, cli, log_compress, pipeline
 from usbeam.containers import read_image, read_rf, write_image
 from usbeam.metrics import LateralProfile, RegionSpec, gcnr, lateral_profile, sidelobe_level
 
@@ -115,6 +121,14 @@ class TestSimulate:
         assert run(["simulate", "--phantom", "custom", "--custom-scatterers", entry,
                     "--elements", "4", "--out", str(out)]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    def test_unknown_phantom_in_config_file_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("phantom = x\n")
+        out = tmp_path / "x.urf"
+        assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: unknown phantom 'x' (one of wires, cysts, tumor, custom)\n"
         assert not out.exists()
 
     def test_scatterer_above_array_face_fails(self, tmp_path, capsys):
@@ -440,8 +454,12 @@ class TestMetrics:
         ("cr,15,1.5,1.0,0.125,0.001", "background region contains no pixels"),
         ("cr,15,1.5,-1.0,-1.5,1.0", "half_x must be finite and positive, got -0.001"),
         ("snr,15,0,3,-2", "half_z must be finite and positive, got -0.002"),
+        ("fwhm,15.8,0.125,0.001", "profile window contains no pixels"),
+        ("bogus,15,0,3", "unknown metric row 'bogus' or wrong field count"),
+        ("snr,15,0,3", "unknown metric row 'snr' or wrong field count"),
     ], ids=["nan-depth", "nan-centre", "empty-cyst-disc", "empty-background-disc",
-            "negative-radius", "negative-half-height"])
+            "negative-radius", "negative-half-height", "empty-profile-window", "unknown-metric",
+            "field-count"])
     def test_unusable_region_names_its_line(self, row, message, image, tmp_path, capsys):
         regions = tmp_path / "regions.csv"
         regions.write_text(f"cr,15,1.0,1.0,1.0,1.0\n{row}\n")
@@ -627,6 +645,14 @@ class TestConfig:
         assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.urf")]) == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_line_without_equals_names_the_line(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# run\nelements 8\n")
+        out = tmp_path / "x.urf"
+        assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:2: expected key=value, got 'elements 8'\n"
+        assert not out.exists()
+
     # a file value takes the type of its field's default
     @pytest.mark.parametrize("key,value,reason", [
         ("elements", "8.5", "invalid literal for int() with base 10: '8.5'"),
@@ -654,10 +680,10 @@ HELP_LISTS = {
     None: ["simulate", "beamform", "render", "metrics", "profile"],
     "simulate": ["--config", "--phantom", "--elements", "--pitch", "--f0", "--fs", "--c", "--cycles",
                  "--snr-db", "--seed", "--pair-separation", "--speckle-density", "--speckle-seed",
-                 "--custom-scatterers", "--out", "300 or more adds no noise"],
+                 "--custom-scatterers", "--out", "300 or more adds no noise", "if VALUE starts with -"],
     "beamform": ["--algo", "--config", "--x-min", "--x-max", "--z-min", "--z-max", "--nx", "--nz",
                  "--filter-taps", "--filter-half-bw", "--filter-center", "--out", "--report",
-                 "--filter-center of 0 selects f0"],
+                 "--filter-center of 0 selects f0", "if VALUE starts with -"],
     "render": ["--config", "--dynamic-range DYNAMIC_RANGE default 70.0", "--out"],
     "metrics": ["--regions", "--out", "gCNR over 100 bins"],
     "profile": ["--config", "--dynamic-range", "--depth-mm", "--out"],
@@ -672,3 +698,121 @@ def test_help_exits_zero_and_lists_every_flag(command, capsys):
     text = " ".join(capsys.readouterr().out.split())
     for item in HELP_LISTS[command]:
         assert re.search(rf"(?<![\w-]){re.escape(item)}(?![\w-])", text), item
+
+
+# A value that starts with '-' and is not a plain decimal such as -0.004 or
+# -10 reads to argparse as a flag, so as a separate token it is a usage
+# error; written --flag=value it reaches the library.
+DASH_VALUES = {
+    "snr_db": (["simulate", "--phantom=custom", "--custom-scatterers=0,12,1", "--elements=4"],
+               "--snr-db", "-1e1"),
+    "custom_scatterers": (["simulate", "--phantom=custom", "--elements=4", "--snr-db=400"],
+                          "--custom-scatterers", "-4,12,1;0,45,0.8"),
+    "x_min": (["beamform", "RF", "--algo=das", *(f for f in GRID_FLAGS if not f.startswith("--x-min"))],
+              "--x-min", "-14e-3"),
+}
+
+
+class TestDashValues:
+    @staticmethod
+    def argv(field, wire_rf):
+        shared, flag, value = DASH_VALUES[field]
+        return [wire_rf if arg == "RF" else arg for arg in shared], flag, value
+
+    @pytest.mark.parametrize("field", list(DASH_VALUES))
+    def test_separate_token_is_a_usage_error(self, field, wire_rf, tmp_path, capsys):
+        shared, flag, value = self.argv(field, wire_rf)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            run([*shared, flag, value, "--out", str(tmp_path / "x.out")])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: expected one argument" in capsys.readouterr().err
+
+    def test_snr_target_reaches_the_noise(self, wire_rf, tmp_path, capsys):
+        shared, flag, value = self.argv("snr_db", wire_rf)
+        capsys.readouterr()
+        assert run([*shared, f"{flag}={value}", "--out", str(tmp_path / "x.urf")]) == 0
+        printed = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+        assert printed["target_snr_db"] == "-10.000000"
+        assert float(printed["realized_snr_db"]) == pytest.approx(-10.0, abs=0.5)
+
+    def test_scatterers_reach_the_phantom(self, wire_rf, tmp_path, monkeypatch):
+        shared, flag, value = self.argv("custom_scatterers", wire_rf)
+        phantoms = []
+        synthesize = cli.synthesize_rf
+        monkeypatch.setattr(cli, "synthesize_rf",
+                            lambda phantom, *args: phantoms.append(phantom) or synthesize(phantom, *args))
+        assert run([*shared, f"{flag}={value}", "--out", str(tmp_path / "x.urf")]) == 0
+        assert np.array_equal(phantoms[0].scatterers, [[-4e-3, 12e-3, 1.0], [0.0, 45e-3, 0.8]])
+
+    def test_grid_edge_reaches_the_image(self, wire_rf, tmp_path):
+        shared, flag, value = self.argv("x_min", wire_rf)
+        out = tmp_path / "x.uim"
+        assert run([*shared, f"{flag}={value}", "--out", str(out)]) == 0
+        assert read_image(str(out))[1].x_min == -14e-3
+
+
+@st.composite
+def cli_scenes(draw):
+    """Well-formed settings for simulate and for beamform, as {flag: value}."""
+    f0 = draw(st.floats(0.5e6, 5e6))
+    z_min = draw(st.floats(5e-3, 30e-3))
+    z_max = z_min + draw(st.floats(0.5e-3, 4e-3))
+    x_min = draw(st.floats(-3e-3, 1e-3))
+    # (x_mm, z_mm, amplitude), inside the grid's depth span
+    points = draw(st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(z_min * 1e3, z_max * 1e3),
+                                     st.floats(0.1, 1.0)), min_size=1, max_size=4))
+    simulate = {
+        "phantom": "custom",
+        "custom-scatterers": ";".join(f"{x},{z},{amp}" for x, z, amp in points),
+        "elements": draw(st.integers(1, 8)),
+        "f0": f0,
+        "fs": f0 * draw(st.floats(2.05, 40.0)),
+        "cycles": draw(st.integers(1, 3)),
+        "snr-db": draw(st.sampled_from([400.0, 30.0, 0.0, -20.0])),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+    beamform = {
+        "x-min": x_min,
+        "x-max": x_min + draw(st.floats(0.0, 4e-3)),
+        "z-min": z_min,
+        "z-max": z_max,
+        "nx": draw(st.integers(1, 16)),
+        "nz": draw(st.integers(40, 120)),
+    }
+    return simulate, beamform
+
+
+def runs_or_names_an_error(argv) -> bool:
+    """Run one command: it must exit 0, or exit 1 with one stderr line that
+    starts ``error: ``. True when it exits 0."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    lines = err.getvalue().splitlines()
+    ok = (code, lines) == (0, []) or (code == 1 and len(lines) == 1 and lines[0].startswith("error: "))
+    assert ok, (argv, code, err.getvalue())
+    return code == 0
+
+
+# Every setting is written --flag=value, so no value is read as a flag. A
+# command may refuse a scene (a band that reaches DC or the line's Nyquist
+# limit, too few elements for a kernel, a line shorter than the filter),
+# but only with exit 1 and one error line: never a traceback or exit 2.
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(cli_scenes())
+def test_well_formed_settings_run_or_name_an_error(scene):
+    simulate, beamform = scene
+    with tempfile.TemporaryDirectory() as tmp:
+        rf = os.path.join(tmp, "frame.urf")
+        if not runs_or_names_an_error(["simulate", *(f"--{k}={v}" for k, v in simulate.items()),
+                                       f"--out={rf}"]):
+            return
+        for kind in BeamformerKind:
+            image = os.path.join(tmp, f"{kind.value}.uim")
+            if runs_or_names_an_error(["beamform", rf, f"--algo={kind.value}",
+                                       *(f"--{k}={v}" for k, v in beamform.items()), f"--out={image}"]):
+                runs_or_names_an_error(["render", image, f"--out={image}.pgm"])

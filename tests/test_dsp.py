@@ -41,8 +41,9 @@ class TestFilterSpec:
             FilterSpec(center=6e6, half_bandwidth=1e6, taps=64)
 
     def test_rejects_passband_reaching_dc(self):
-        with pytest.raises(ValueError):
-            FilterSpec(center=1e6, half_bandwidth=1e6, taps=63)
+        with pytest.raises(ValueError, match=r"^passband must not reach DC: center 1e\+06 Hz, "
+                                             r"half-width 1\.5e\+06 Hz$"):
+            FilterSpec(center=1e6, half_bandwidth=1.5e6, taps=63)
 
     @pytest.mark.parametrize("field", ["center", "half_bandwidth"])
     @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0])
@@ -53,7 +54,8 @@ class TestFilterSpec:
 
     def test_rejects_nyquist_violation(self):
         spec = FilterSpec(center=6e6, half_bandwidth=1.5e6, taps=63)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^passband edge 7\.5e\+06 Hz reaches the Nyquist limit "
+                                             r"of a line sampled at 1\.4e\+07 Hz$"):
             bandpass_image(np.zeros((500, 1)), spec, 14e6)
 
 
@@ -61,6 +63,11 @@ class TestBandpass:
     def test_dc_rejection(self):
         out = bandpass_image(np.ones((2000, 1)), SPEC, FS)
         assert np.max(np.abs(out)) <= 0.01
+
+    def test_band_too_narrow_for_its_taps_is_degenerate(self):
+        # 3 taps at 100 MHz give no gain at a 1 kHz center
+        with pytest.raises(ValueError, match="^degenerate filter design: no gain at the center frequency$"):
+            design_bandpass(FilterSpec(1e3, 1e2, 3), FS)
 
     def test_dc_gain_is_null(self):
         h = design_bandpass(SPEC, FS)

@@ -16,7 +16,15 @@ def test_linear_array_centered_and_uniform():
 def test_geometry_derives_centred_positions():
     geom = ArrayGeometry(4, 1e-3, 1540.0)
     assert np.allclose(geom.element_x, [-1.5e-3, -0.5e-3, 0.5e-3, 1.5e-3], rtol=0, atol=1e-18)
-    assert geom == linear_array(4, 1e-3)
+    assert geom == ArrayGeometry(4, 1e-3)
+    assert linear_array is ArrayGeometry
+
+
+def test_element_positions_are_read_only():
+    # equal arrays must give equal delays, so no position can move
+    geom = ArrayGeometry(8, 3e-4)
+    with pytest.raises(ValueError, match="read-only"):
+        geom.element_x[0] = 5e-3
 
 
 def test_geometry_rejects_too_few_elements():

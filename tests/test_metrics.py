@@ -100,6 +100,11 @@ class TestRegionSnr:
         with pytest.raises(ValueError):
             snr_region(img, RegionSpec.rect(0.0, 30e-3, 2e-3, 2e-3), GRID)
 
+    def test_one_pixel_region_is_error(self):
+        # GRID's pixels are 0.5 mm apart, so a 0.1 mm half-width holds one
+        with pytest.raises(ValueError, match="^region must contain at least 2 pixels$"):
+            snr_region(np.ones((81, 41)), RegionSpec.rect(0.0, 30e-3, 0.1e-3, 0.1e-3), GRID)
+
 
 class TestContrastRatio:
     def test_identical_regions_give_zero(self):
@@ -285,6 +290,10 @@ class TestFwhm:
         amp[50] = 1.0  # peak barely above a high plateau: no half crossing
         with pytest.raises(ValueError):
             fwhm(profile_from_amplitude(x, amp))
+
+    def test_profile_of_two_samples_is_error(self):
+        with pytest.raises(ValueError, match="^profile too short$"):
+            fwhm(profile_from_amplitude([0.0, 1e-3], [1.0, 0.1]))
 
 
 class TestLateralProfile:

@@ -130,6 +130,17 @@ class TestPhantoms:
         with pytest.raises(ValueError, match=r"^scatterers must be an \(N, 3\) array"):
             Phantom(np.full(shape, 10e-3))
 
+    def test_phantom_holds_a_read_only_copy(self):
+        # a z moved above the array face after the check never reaches synthesis
+        pts = np.array([[0.0, 12e-3, 1.0], [1e-3, 15e-3, 0.5]])
+        phantom = Phantom(pts)
+        geom = linear_array(8, 0.3e-3)
+        before = synthesize_rf(phantom, geom, PULSE, FS).samples
+        pts[1, 1] = -5e-3
+        assert np.array_equal(synthesize_rf(phantom, geom, PULSE, FS).samples, before)
+        with pytest.raises(ValueError, match="read-only"):
+            phantom.scatterers[1, 1] = np.nan
+
 
 class TestPulse:
     def test_waveform_duration(self):

@@ -224,15 +224,15 @@ def cmd_profile(args) -> int:
 def _add_settings(parser: argparse.ArgumentParser, *names: str) -> None:
     """Add ``--config`` and a flag for each named RunConfig field: spelled
     ``--field-name`` unless _FLAG_NAMES keeps another spelling, and typed
-    like the field's default, as load_config types file values. argparse
-    takes most values that start with '-' for flags, hence the help's note."""
+    like the field's default, as load_config types file values."""
+    parser.epilog = "Write --flag=VALUE if VALUE starts with -."
     parser.add_argument("--config", help="key=value config file")
     defaults = RunConfig()
     for name in names:
         default = getattr(defaults, name)
-        flag = _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
-        parser.add_argument(flag, dest=name, type=type(default), choices=PHANTOMS if name == "phantom" else None,
-                            help=f"default {default!r}; write {flag}=VALUE if VALUE starts with -")
+        parser.add_argument(_FLAG_NAMES.get(name, "--" + name.replace("_", "-")), dest=name,
+                            type=type(default), choices=PHANTOMS if name == "phantom" else None,
+                            help=f"default {default!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -40,10 +40,12 @@ class TestFilterSpec:
         with pytest.raises(ValueError):
             FilterSpec(center=6e6, half_bandwidth=1e6, taps=64)
 
-    def test_rejects_passband_reaching_dc(self):
-        with pytest.raises(ValueError, match=r"^passband must not reach DC: center 1e\+06 Hz, "
-                                             r"half-width 1\.5e\+06 Hz$"):
-            FilterSpec(center=1e6, half_bandwidth=1.5e6, taps=63)
+    @pytest.mark.parametrize("half_bandwidth, shown", [(1e6, r"1e\+06"), (1.5e6, r"1\.5e\+06")],
+                             ids=["edge-at-dc", "edge-below-dc"])
+    def test_rejects_passband_reaching_dc(self, half_bandwidth, shown):
+        with pytest.raises(ValueError, match=rf"^passband must not reach DC: center 1e\+06 Hz, "
+                                             rf"half-width {shown} Hz$"):
+            FilterSpec(center=1e6, half_bandwidth=half_bandwidth, taps=63)
 
     @pytest.mark.parametrize("field", ["center", "half_bandwidth"])
     @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0])

@@ -69,8 +69,7 @@ def build_phantom(cfg: RunConfig) -> Phantom:
     raise ValueError(f"unknown phantom {cfg.phantom!r} (one of {', '.join(PHANTOMS)})")
 
 
-def cmd_simulate(args) -> int:
-    cfg = load_config(args.config, vars(args))
+def cmd_simulate(args, cfg: RunConfig) -> int:
     noise = NoiseSpec(target_snr_db=cfg.snr_db, seed=cfg.seed)
     geometry = ArrayGeometry(cfg.elements, cfg.pitch, cfg.c)
     containers.check_rf_elements(geometry.element_count)
@@ -93,8 +92,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_beamform(args) -> int:
-    cfg = load_config(args.config, vars(args))
+def cmd_beamform(args, cfg: RunConfig) -> int:
     frame, _pitch = containers.read_rf(args.rf_path)
     kind = BeamformerKind(args.algo)
     grid = ImageGrid(cfg.x_min, cfg.x_max, cfg.z_min, cfg.z_max, cfg.nx, cfg.nz)
@@ -128,8 +126,7 @@ def cmd_beamform(args) -> int:
     return 0
 
 
-def cmd_render(args) -> int:
-    cfg = load_config(args.config, vars(args))
+def cmd_render(args, cfg: RunConfig) -> int:
     env, _grid = containers.read_image(args.image_path)
     gray = containers.db_to_gray(log_compress(env, cfg.dynamic_range), cfg.dynamic_range)
     containers.write_pgm(args.out, gray)
@@ -190,7 +187,7 @@ def _metrics_rows(env: np.ndarray, grid: ImageGrid, lines) -> list[str]:
     return rows
 
 
-def cmd_metrics(args) -> int:
+def cmd_metrics(args, _cfg: RunConfig) -> int:
     env, grid = containers.read_image(args.image_path)
     lines = []
     with open(args.regions, "r", encoding="utf-8") as fh:
@@ -206,8 +203,7 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def cmd_profile(args) -> int:
-    cfg = load_config(args.config, vars(args))
+def cmd_profile(args, cfg: RunConfig) -> int:
     env, grid = containers.read_image(args.image_path)
     depth = args.depth_mm * 1e-3
     profile = lateral_profile(log_compress(env, cfg.dynamic_range), depth, grid)
@@ -276,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "sidelobe,depth,x,window | cr,depth,cx,cr,bx,br | "
                           f"gcnr,depth,cx,cr,bx,br (all mm; gCNR over {GCNR_BINS} bins)")
     met.add_argument("--out", help="also write the CSV report here")
-    met.set_defaults(func=cmd_metrics)
+    met.set_defaults(func=cmd_metrics, config=None)
 
     prof = sub.add_parser("profile", help="export a lateral dB profile at a depth")
     prof.add_argument("image_path")
@@ -292,7 +288,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, load_config(args.config, vars(args)))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -112,11 +112,11 @@ class DelayTable:
 
     The table is a descriptor of (geometry, grid, fs): ``column(j)`` gives
     the (nz, element_count) delays of image column j, and ``values`` builds
-    the whole (nz, nx, element_count) table each time it is read, so
-    nothing holds the full table unless a caller asks for it. Both use the
-    same element-wise arithmetic, so a column equals the matching slice of
-    the table bit for bit. fs is the sampling rate the delays are scaled
-    with. The grid axes are built once, with the table.
+    the whole (nz, nx, element_count) table from the columns each time it
+    is read, so nothing holds the full table unless a caller asks for it.
+    fs is the sampling rate the delays are scaled with. The grid axes are
+    built once, with the table, and a table whose largest delay overflows
+    float64 is refused then, naming the grid, so every delay is finite.
 
     ``mirrored`` is true on a grid centred on the array (``x_min ==
     -x_max``, compared exactly), whose ``x_axis`` is antisymmetric, so
@@ -133,35 +133,37 @@ class DelayTable:
     def __post_init__(self):
         _require_finite_positive("fs", self.fs)
         object.__setattr__(self, "mirrored", self.grid.x_min == -self.grid.x_max)
-        object.__setattr__(self, "_x_axis", self.grid.x_axis)
         object.__setattr__(self, "_z_axis", self.grid.z_axis)
-
-    def _delays(self, dx, z) -> np.ndarray:
-        # dx (pixel x minus element x) and z broadcast to the output shape.
-        # The receive path is built in one allocation, then the transmit
-        # time is added and the sum scaled, all in place.
-        c = self.geometry.sound_speed
-        travel = dx * dx + z * z
-        np.sqrt(travel, out=travel)
-        travel /= c
-        travel += z / c
-        travel *= self.fs
-        return travel
+        with np.errstate(over="ignore", invalid="ignore"):
+            object.__setattr__(self, "_x_axis", self.grid.x_axis)
+            # the largest delay lies in an edge column, at the deepest row
+            if not np.all(np.isfinite([self.column(0)[-1], self.column(-1)[-1]])):
+                raise ValueError(f"delays overflow float64 on {self.grid} at fs={self.fs!r}")
 
     def column(self, j: int) -> np.ndarray:
         """Delays of image column j, shape (nz, element_count).
 
         Computed element-major, as an (element_count, nz) block, and
         returned as its transpose, so each element's delays are contiguous.
+        The receive path is built in one allocation, then the transmit time
+        is added and the sum scaled, all in place.
         """
+        c = self.geometry.sound_speed
         dx = self._x_axis[j] - self.geometry.element_x[:, None]
-        return self._delays(dx, self._z_axis).T
+        travel = dx * dx + self._z_axis * self._z_axis
+        np.sqrt(travel, out=travel)
+        travel /= c
+        travel += self._z_axis / c
+        travel *= self.fs
+        return travel.T
 
     @property
     def values(self) -> np.ndarray:
-        """The full (nz, nx, element_count) table, built on every read."""
-        dx = self._x_axis[:, None] - self.geometry.element_x
-        return self._delays(dx, self._z_axis[:, None, None])
+        """The full (nz, nx, element_count) table, filled from ``column(j)`` on every read."""
+        table = np.empty((self.grid.nz, self.grid.nx, self.geometry.element_count))
+        for j in range(self.grid.nx):
+            table[:, j, :] = self.column(j)
+        return table
 
 
 def compute_delays(geometry: ArrayGeometry, grid: ImageGrid, fs: float) -> DelayTable:
@@ -184,7 +186,8 @@ def compute_delays(geometry: ArrayGeometry, grid: ImageGrid, fs: float) -> Delay
     DelayTable
         A descriptor that computes the delays per column
         (:meth:`DelayTable.column`) or as a full (nz, nx, element_count)
-        table (:attr:`DelayTable.values`) when asked; building it allocates
-        no delays.
+        table (:attr:`DelayTable.values`) when asked. Building it computes
+        only the two edge columns, and raises ``ValueError``, naming the
+        grid, if the deepest of their delays overflows float64.
     """
     return DelayTable(geometry, grid, float(fs))

@@ -22,10 +22,10 @@ def default_filter(kind: BeamformerKind, f0: float) -> FilterSpec:
     The pairwise-product beamformers shift the signal band to twice the
     center frequency, so their filter sits at 2 f0; plain DAS keeps the
     fundamental and is filtered at f0 for a comparable envelope. The
-    passband half-width is f0 / 2, over 63 taps.
+    passband half-width is f0 / 2, over FilterSpec's default taps.
     """
     center = f0 if kind is BeamformerKind.DAS else 2.0 * f0
-    return FilterSpec(center=center, half_bandwidth=0.5 * f0, taps=63)
+    return FilterSpec(center=center, half_bandwidth=0.5 * f0)
 
 
 def reconstruct_envelope(

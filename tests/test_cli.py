@@ -231,6 +231,17 @@ class TestBeamform:
         assert "z_min must be positive (imaging starts below the array face)" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_grid_is_named(self, wire_rf, tmp_path, capsys):
+        # pytest turns a RuntimeWarning into an error, so none escapes either
+        flags = [f for f in GRID_FLAGS if not f.startswith("--x-")]
+        out = tmp_path / "x.uim"
+        assert run(["beamform", wire_rf, "--algo", "das", *flags, "--x-min=-1e200", "--x-max=1e200",
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: delays overflow float64 on ImageGrid(x_min=-1e+200, x_max=1e+200, z_min=0.013, "
+            "z_max=0.018, nx=33, nz=150) at fs=100000000.0\n")
+        assert not out.exists()
+
     def test_zero_height_grid_is_named(self, wire_rf, tmp_path, capsys):
         flags = [f for f in GRID_FLAGS if not f.startswith(("--z-", "--nz"))]
         out = tmp_path / "x.uim"
@@ -473,6 +484,15 @@ class TestMetrics:
         regions.write_text("cr,15,1.0,1.0,1.0,1.0\nfwhm,np.float64(15.8),0,3\n")
         assert run(["metrics", image, "--regions", str(regions)]) == 1
         assert capsys.readouterr().err.startswith("error: regions line 2:")
+
+    def test_takes_no_settings(self, capsys):
+        # the one settings resolution in cli.main gives metrics no --config
+        with pytest.raises(SystemExit) as excinfo:
+            run(["metrics", "img.uim", "--regions", "r.txt", "--config", "run.cfg"])
+        assert excinfo.value.code == 2
+        with pytest.raises(SystemExit):
+            run(["metrics", "--help"])
+        assert "--config" not in capsys.readouterr().out
 
     def test_writes_report_file(self, image, tmp_path, capsys):
         regions = tmp_path / "regions.csv"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -190,6 +192,32 @@ def test_delay_column_equals_table_slice():
     assert values.shape == (13, 11, 8)
     for j in range(grid.nx):
         assert np.array_equal(table.column(j), values[:, j, :])
+    # the round-trip expression, broadcast over the whole table at once
+    dx = grid.x_axis[:, None] - geom.element_x
+    z = grid.z_axis[:, None, None]
+    assert np.array_equal(values, 100e6 * (np.sqrt(dx * dx + z * z) / 1540.0 + z / 1540.0))
+
+
+# x from -1e200 to 1e200 m, and z down to 1e200 m: a squared distance
+# overflows float64, so no delay table is built on either grid. A span of
+# ±1.7e308 m overflows the column spacing itself, and its middle column
+# lands at inf * 0 = nan.
+@pytest.mark.parametrize("grid", [
+    ImageGrid(x_min=-1e200, x_max=1e200, z_min=5e-3, z_max=25e-3, nx=11, nz=13),
+    ImageGrid(x_min=-3e-3, x_max=3e-3, z_min=5e-3, z_max=1e200, nx=11, nz=13),
+    ImageGrid(x_min=-1.7e308, x_max=1.7e308, z_min=5e-3, z_max=25e-3, nx=3, nz=13),
+], ids=["x", "z", "x-span"])
+def test_delays_refuse_a_grid_whose_delays_overflow(grid):
+    message = f"delays overflow float64 on {grid} at fs=100000000.0"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        compute_delays(linear_array(8, 0.3e-3), grid, 100e6)
+
+
+def test_delays_build_on_a_wide_finite_grid():
+    grid = ImageGrid(x_min=-1e150, x_max=1e150, z_min=5e-3, z_max=25e-3, nx=11, nz=13)
+    table = compute_delays(linear_array(8, 0.3e-3), grid, 100e6)
+    assert np.all(np.isfinite(table.values))
+    assert table.column(0)[-1, 0] == pytest.approx(100e6 * 1e150 / 1540.0, rel=1e-12)
 
 
 # Grids of 1, 2, odd and even column counts, random extents of 1 um to 1 m

@@ -36,7 +36,12 @@ from .simulator import (
 # floor never clips a measurable feature.
 _METRICS_DB_RANGE = 400.0
 
-PHANTOMS = ("wires", "cysts", "tumor", "custom")
+PHANTOMS = {
+    "wires": lambda cfg: make_wire_phantom(cfg.pair_separation),
+    "cysts": lambda cfg: make_cyst_phantom(cfg.speckle_seed, cfg.speckle_density),
+    "tumor": lambda cfg: make_tumor_phantom(cfg.speckle_seed, cfg.speckle_density),
+    "custom": lambda cfg: Phantom(_parse_custom_scatterers(cfg.custom_scatterers)),
+}
 # settings flags spelled other than --field-name
 _FLAG_NAMES = {"filter_half_bandwidth": "--filter-half-bw"}
 
@@ -57,23 +62,13 @@ def _parse_custom_scatterers(text: str) -> np.ndarray:
     return np.array(points, dtype=float)
 
 
-def build_phantom(cfg: RunConfig) -> Phantom:
-    if cfg.phantom == "wires":
-        return make_wire_phantom(cfg.pair_separation)
-    if cfg.phantom == "cysts":
-        return make_cyst_phantom(cfg.speckle_seed, cfg.speckle_density)
-    if cfg.phantom == "tumor":
-        return make_tumor_phantom(cfg.speckle_seed, cfg.speckle_density)
-    if cfg.phantom == "custom":
-        return Phantom(_parse_custom_scatterers(cfg.custom_scatterers))
-    raise ValueError(f"unknown phantom {cfg.phantom!r} (one of {', '.join(PHANTOMS)})")
-
-
 def cmd_simulate(args, cfg: RunConfig) -> int:
     noise = NoiseSpec(target_snr_db=cfg.snr_db, seed=cfg.seed)
     geometry = ArrayGeometry(cfg.elements, cfg.pitch, cfg.c)
     containers.check_rf_elements(geometry.element_count)
-    phantom = build_phantom(cfg)
+    if cfg.phantom not in PHANTOMS:
+        raise ValueError(f"unknown phantom {cfg.phantom!r} (one of {', '.join(PHANTOMS)})")
+    phantom = PHANTOMS[cfg.phantom](cfg)
     pulse = PulseModel(f0=cfg.f0, cycles=cfg.cycles)
     clean = synthesize_rf(phantom, geometry, pulse, cfg.fs)
     frame = add_noise(clean, noise)

@@ -10,25 +10,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-# Half a wavelength at 3 MHz in 1540 m/s tissue.
-DEFAULT_PITCH = 0.5 * 1540.0 / 3.0e6
+from .dsp import FilterSpec
+from .geometry import ArrayGeometry
+from .simulator import DEFAULT_PAIR_SEPARATION, DEFAULT_SPECKLE_DENSITY, DEFAULT_SPECKLE_SEED, PulseModel
 
 
 @dataclass
 class RunConfig:
     # phantom / scene
     phantom: str = "wires"
-    pair_separation: float = 3e-3
-    speckle_density: float = 1.7e7
-    speckle_seed: int = 2024
+    pair_separation: float = DEFAULT_PAIR_SEPARATION
+    speckle_density: float = DEFAULT_SPECKLE_DENSITY
+    speckle_seed: int = DEFAULT_SPECKLE_SEED
     custom_scatterers: str = ""  # "x_mm,z_mm,amp;..." when phantom=custom
     # acquisition
     elements: int = 128
-    pitch: float = DEFAULT_PITCH
     f0: float = 3e6
     fs: float = 100e6
-    c: float = 1540.0
-    cycles: int = 2
+    c: float = ArrayGeometry.sound_speed
+    pitch: float = 0.5 * c / f0  # half a wavelength at the default f0 and c
+    cycles: int = PulseModel.cycles
     # noise
     snr_db: float = 50.0
     seed: int = 1234
@@ -40,7 +41,7 @@ class RunConfig:
     nx: int = 220
     nz: int = 951
     # post-processing (the beamformer itself is picked by beamform --algo)
-    filter_taps: int = 63
+    filter_taps: int = FilterSpec.taps
     filter_half_bandwidth: float = 1.5e6
     filter_center: float = 0.0  # 0 selects f0 (das) or 2*f0 (product kernels)
     dynamic_range: float = 70.0

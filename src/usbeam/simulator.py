@@ -84,6 +84,7 @@ _CYST_Z_BOUNDS = (5e-3, 55e-3)
 # 1.54 mm axial for a 3 MHz, 128-element half-wavelength aperture at 30 mm
 # depth), with margin.
 DEFAULT_SPECKLE_DENSITY = 1.7e7
+DEFAULT_SPECKLE_SEED = 2024
 
 # Tumor phantom layout (meters).
 _TUMOR_X_BOUNDS = (-12e-3, 12e-3)
@@ -119,7 +120,7 @@ def _speckle(seed: int, speckle_density: float, x_bounds, z_bounds):
     return x, z, rng.uniform(-1.0, 1.0, count)
 
 
-def make_cyst_phantom(seed: int = 2024, speckle_density: float = DEFAULT_SPECKLE_DENSITY) -> Phantom:
+def make_cyst_phantom(seed: int = DEFAULT_SPECKLE_SEED, speckle_density: float = DEFAULT_SPECKLE_DENSITY) -> Phantom:
     """Speckle slab with ten anechoic cysts, two radii at five depths.
 
     Speckle scatterers are uniformly placed with amplitudes uniform on
@@ -134,7 +135,7 @@ def make_cyst_phantom(seed: int = 2024, speckle_density: float = DEFAULT_SPECKLE
     return Phantom(np.column_stack([x, z, amp]))
 
 
-def make_tumor_phantom(seed: int = 2024, speckle_density: float = DEFAULT_SPECKLE_DENSITY) -> Phantom:
+def make_tumor_phantom(seed: int = DEFAULT_SPECKLE_SEED, speckle_density: float = DEFAULT_SPECKLE_DENSITY) -> Phantom:
     """Speckle slab with a bright elliptical inclusion and one isolated wire."""
     x, z, amp = _speckle(seed, speckle_density, _TUMOR_X_BOUNDS, _TUMOR_Z_BOUNDS)
     cx, cz = TUMOR_CENTER

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import io
 import os
 import re
@@ -10,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from usbeam import BeamformerKind, ImageGrid, cli, log_compress, pipeline
+from usbeam import (ArrayGeometry, BeamformerKind, FilterSpec, ImageGrid, Phantom, PulseModel, cli, log_compress,
+                    make_cyst_phantom, make_tumor_phantom, make_wire_phantom, pipeline)
+from usbeam.config import RunConfig
 from usbeam.containers import read_image, read_rf, write_image
 from usbeam.metrics import LateralProfile, RegionSpec, gcnr, lateral_profile, sidelobe_level
 
@@ -153,6 +157,34 @@ class TestSimulate:
         frame, _ = read_rf(out)
         assert frame.element_count == 8
         assert np.any(frame.samples != 0)
+
+    # Each phantom name at default settings and with its own flags set,
+    # with the library scene those settings name.
+    @pytest.mark.parametrize("phantom,flags,expected", [
+        ("wires", [], make_wire_phantom),
+        ("wires", ["--pair-separation", "5e-3"], lambda: make_wire_phantom(5e-3)),
+        ("cysts", [], make_cyst_phantom),
+        ("cysts", ["--speckle-seed", "7", "--speckle-density", "2e5"], lambda: make_cyst_phantom(7, 2e5)),
+        ("tumor", [], make_tumor_phantom),
+        ("tumor", ["--speckle-seed", "7", "--speckle-density", "2e5"], lambda: make_tumor_phantom(7, 2e5)),
+        ("custom", ["--custom-scatterers", "1.5,40,2; -3,45,-0.5"],
+         lambda: Phantom(np.array([[1.5 * 1e-3, 40 * 1e-3, 2.0], [-3 * 1e-3, 45 * 1e-3, -0.5]]))),
+    ], ids=["wires", "wires-flags", "cysts", "cysts-flags", "tumor", "tumor-flags", "custom"])
+    def test_each_phantom_name_builds_the_librarys_phantom(self, phantom, flags, expected, monkeypatch,
+                                                           tmp_path):
+        class Built(Exception):
+            pass
+
+        built = []
+
+        def record(scene, *args):
+            built.append(scene)
+            raise Built
+
+        monkeypatch.setattr(cli, "synthesize_rf", record)
+        with pytest.raises(Built):
+            run(["simulate", "--phantom", phantom, *flags, "--out", str(tmp_path / "x.urf")])
+        assert np.array_equal(built[0].scatterers, expected().scatterers)
 
 
 class TestBeamform:
@@ -691,6 +723,33 @@ class TestConfig:
         cfg.write_text("fs = 1e6\n")  # violates fs > 2 f0
         assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.urf")]) == 1
         assert "fs" in capsys.readouterr().err
+
+    # Each RunConfig default the library also states, with the library's
+    # own statement of it: a dataclass field's default or a factory
+    # parameter's, read from the owner, not restated here.
+    @pytest.mark.parametrize("field,owner,name", [
+        ("c", ArrayGeometry, "sound_speed"),
+        ("cycles", PulseModel, "cycles"),
+        ("filter_taps", FilterSpec, "taps"),
+        ("pair_separation", make_wire_phantom, "pair_separation"),
+        ("speckle_density", make_cyst_phantom, "speckle_density"),
+        ("speckle_density", make_tumor_phantom, "speckle_density"),
+        ("speckle_seed", make_cyst_phantom, "seed"),
+        ("speckle_seed", make_tumor_phantom, "seed"),
+    ], ids=lambda v: v.__name__ if callable(v) else None)
+    def test_run_config_defaults_are_the_librarys(self, field, owner, name):
+        if dataclasses.is_dataclass(owner):
+            expected = next(f.default for f in dataclasses.fields(owner) if f.name == name)
+        else:
+            expected = inspect.signature(owner).parameters[name].default
+        value = getattr(RunConfig(), field)
+        assert value == expected
+        # a file value takes the type of its field's default
+        assert type(value) is type(expected)
+
+    def test_default_pitch_is_half_a_wavelength(self):
+        cfg = RunConfig()
+        assert cfg.pitch == 0.5 * cfg.c / cfg.f0
 
 
 # Every flag of each subcommand (of the whole program: its subcommands)

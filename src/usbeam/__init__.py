@@ -16,9 +16,9 @@ from .beamformers import (
     stage_one_terms,
 )
 from .dsp import FilterSpec, bandpass_image, envelope_image, log_compress
-from .geometry import ArrayGeometry, DelayTable, ImageGrid, compute_delays, linear_array
+from .geometry import ArrayGeometry, DelayTable, ImageGrid
 from .metrics import LateralProfile, RegionShape, RegionSpec, cr, fwhm, gcnr, lateral_profile, sidelobe_level, snr_region
-from .pipeline import axial_sample_rate, default_filter, reconstruct_envelope, reconstruct_envelope_from_delays
+from .pipeline import axial_sample_rate, default_filter, reconstruct_envelope
 from .rfmodel import RfFrame, fetch_delayed, signed_sqrt
 from .simulator import (
     NoiseSpec,

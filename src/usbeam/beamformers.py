@@ -162,7 +162,7 @@ def beamform_image(frame: RfFrame, delays: DelayTable, kind: BeamformerKind):
         Channel data; its array and sampling rate must equal the delay
         table's.
     delays : DelayTable
-        From :func:`compute_delays`.
+        ``DelayTable(frame.geometry, grid, frame.fs)`` on the grid to image.
     kind : BeamformerKind
 
     Returns

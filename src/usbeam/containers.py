@@ -15,7 +15,7 @@ import struct
 
 import numpy as np
 
-from .geometry import ArrayGeometry, ImageGrid, _require_finite_positive
+from .geometry import ArrayGeometry, ImageGrid, _image_on_grid, _require_finite_positive
 from .rfmodel import RfFrame
 
 RF_MAGIC = b"URF1"
@@ -93,7 +93,8 @@ def _read_container(path: str, magic: bytes, what: str):
 
 
 def read_rf(path: str) -> tuple[RfFrame, float]:
-    """Read an RF container; returns the frame, with the array that recorded it, and that array's pitch."""
+    """Read an RF container; returns the frame, with the array that recorded it, and that
+    array's pitch, a second copy of ``frame.geometry.pitch`` kept because perfbench/ unpacks it."""
     m, k, (fs, f0, c, pitch), payload = _read_container(path, RF_MAGIC, "RF")
     try:
         frame = RfFrame(samples=payload.reshape(m, k), fs=fs, f0=f0, geometry=ArrayGeometry(m, pitch, c))
@@ -104,9 +105,7 @@ def read_rf(path: str) -> tuple[RfFrame, float]:
 
 def write_image(path: str, image: np.ndarray, grid: ImageGrid) -> None:
     """Write a reconstructed image (rows along depth) with its grid extents."""
-    img = np.asarray(image, dtype=float)
-    if img.shape != (grid.nz, grid.nx):
-        raise ValueError("image shape must match the grid (nz rows, nx columns)")
+    img = _image_on_grid(image, grid)
     check_image_grid(grid)
     header = _HEADER.pack(
         IMAGE_MAGIC, FORMAT_VERSION, grid.nx, grid.nz, grid.x_min, grid.x_max, grid.z_min, grid.z_max, _RESERVED

@@ -106,17 +106,31 @@ class ImageGrid:
         return (self.z_max - self.z_min) / (self.nz - 1)
 
 
+def _image_on_grid(image, grid: ImageGrid) -> np.ndarray:
+    """The image as a float array, refused unless it is (grid.nz, grid.nx)."""
+    image = np.asarray(image, dtype=float)
+    if image.shape != (grid.nz, grid.nx):
+        raise ValueError(f"image shape {image.shape} does not match the grid's (nz, nx) = {(grid.nz, grid.nx)}")
+    return image
+
+
 @dataclass(frozen=True)
 class DelayTable:
-    """Per-pixel, per-element fractional sample delays, computed on demand.
+    """Round-trip delays, in samples, for dynamically focused reconstruction.
 
-    The table is a descriptor of (geometry, grid, fs): ``column(j)`` gives
-    the (nz, element_count) delays of image column j, and ``values`` builds
-    the whole (nz, nx, element_count) table from the columns each time it
-    is read, so nothing holds the full table unless a caller asks for it.
-    fs is the sampling rate the delays are scaled with. The grid axes are
-    built once, with the table, and a table whose largest delay overflows
-    float64 is refused then, naming the grid, so every delay is finite.
+    Transmit travel to a pixel is modeled as straight axial propagation
+    (z / c); receive travel is the exact Euclidean distance from the pixel
+    back to each element. The sum is scaled by the sampling rate fs, in Hz,
+    so the delays address fractional sample positions directly; doubling
+    fs exactly doubles every delay.
+
+    The table is a descriptor of (geometry, grid, fs) that computes the
+    delays on demand: ``column(j)`` gives the (nz, element_count) delays of
+    image column j, so nothing holds the full table. The grid axes are
+    built once, with the table. Building it computes only the two edge
+    columns, where the largest delay lies, and refuses a table whose
+    largest delay overflows float64, naming the grid, so every delay is
+    finite.
 
     ``mirrored`` is true on a grid centred on the array (``x_min ==
     -x_max``, compared exactly), whose ``x_axis`` is antisymmetric, so
@@ -159,7 +173,8 @@ class DelayTable:
 
     @property
     def values(self) -> np.ndarray:
-        """The full (nz, nx, element_count) table, filled from ``column(j)`` on every read."""
+        """The full (nz, nx, element_count) table, filled from ``column(j)`` on every
+        read; a second way to the delays, kept because perfbench/ reads it."""
         table = np.empty((self.grid.nz, self.grid.nx, self.geometry.element_count))
         for j in range(self.grid.nx):
             table[:, j, :] = self.column(j)
@@ -167,27 +182,6 @@ class DelayTable:
 
 
 def compute_delays(geometry: ArrayGeometry, grid: ImageGrid, fs: float) -> DelayTable:
-    """Round-trip delays, in samples, for dynamically focused reconstruction.
-
-    Transmit travel to a pixel is modeled as straight axial propagation
-    (z / c); receive travel is the exact Euclidean distance from the pixel
-    back to each element. The sum is scaled by the sampling rate, so the
-    delays address fractional sample positions directly.
-
-    Parameters
-    ----------
-    geometry : ArrayGeometry
-    grid : ImageGrid
-    fs : float
-        Sampling rate in Hz. Doubling fs exactly doubles every delay.
-
-    Returns
-    -------
-    DelayTable
-        A descriptor that computes the delays per column
-        (:meth:`DelayTable.column`) or as a full (nz, nx, element_count)
-        table (:attr:`DelayTable.values`) when asked. Building it computes
-        only the two edge columns, and raises ``ValueError``, naming the
-        grid, if the deepest of their delays overflows float64.
-    """
+    """``DelayTable(geometry, grid, float(fs))`` under a second name, kept
+    because perfbench/ calls and wraps it."""
     return DelayTable(geometry, grid, float(fs))

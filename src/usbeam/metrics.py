@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import ImageGrid, _require_finite_positive
+from .geometry import ImageGrid, _image_on_grid, _require_finite_positive
 
 
 class RegionShape(Enum):
@@ -101,7 +101,7 @@ def cr(image, cyst: RegionSpec, background: RegionSpec, grid: ImageGrid) -> floa
 
 
 def _region_pixels(image, region: RegionSpec, grid: ImageGrid, name: str) -> np.ndarray:
-    pixels = np.asarray(image, dtype=float)[region.mask(grid)]
+    pixels = _image_on_grid(image, grid)[region.mask(grid)]
     if pixels.size == 0:
         raise ValueError(f"{name} region contains no pixels")
     if not np.all(np.isfinite(pixels)):
@@ -150,12 +150,13 @@ class LateralProfile:
 
 def lateral_profile(image: np.ndarray, depth: float, grid: ImageGrid) -> LateralProfile:
     """Extract the row of a 2-D dB image nearest a depth, renormalized to
-    0 dB max."""
+    0 dB max. The image must be (grid.nz, grid.nx)."""
+    image = _image_on_grid(image, grid)
     if not grid.z_min <= depth <= grid.z_max:
         raise ValueError(f"requested depth {depth!r} lies outside the grid")
     z = grid.z_axis
     row = int(np.argmin(np.abs(z - depth)))
-    values = image[row, :].astype(float)
+    values = image[row, :]
     return LateralProfile(depth=float(z[row]), x=grid.x_axis, value_db=values - values.max())
 
 

@@ -44,6 +44,7 @@ def reconstruct_envelope(
     and nz must exceed the filter's taps; both are checked before any
     beamforming.
     """
+    # through the two second names, whose spans perfbench/tracer.py records
     delays = compute_delays(frame.geometry, grid, frame.fs)
     return reconstruct_envelope_from_delays(frame, delays, grid, kind, filter_spec=filter_spec)
 
@@ -55,11 +56,9 @@ def reconstruct_envelope_from_delays(
     kind: BeamformerKind,
     filter_spec: FilterSpec | None = None,
 ):
-    """Reconstruction chain reusing a delay table from :func:`compute_delays`.
-
-    ``grid`` must equal the grid the delays were computed on; it sets the
-    band-pass's axial sampling rate.
-    """
+    """:func:`reconstruct_envelope` after its delays, on a table built on
+    ``grid``; a second entry point, kept because perfbench/ calls and wraps
+    it."""
     if grid != delays.grid:
         raise ValueError(f"grid {grid} differs from the delay table's grid {delays.grid}")
     spec = filter_spec or default_filter(kind, frame.f0)

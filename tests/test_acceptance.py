@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from usbeam import (
+    ArrayGeometry,
     BeamformerKind,
     FilterSpec,
     ImageGrid,
@@ -31,16 +32,14 @@ from usbeam import (
     bandpass_image,
     cli,
     beamform_pixel,
-    compute_delays,
     dmas_pixel_naive,
     envelope_image,
     fwhm,
-    linear_array,
     log_compress,
     make_cyst_phantom,
     make_wire_phantom,
     op_count,
-    reconstruct_envelope_from_delays,
+    reconstruct_envelope,
     signal_power,
     snr_region,
     stage_one_terms,
@@ -106,23 +105,18 @@ def dsdmas_expansion_oracle(xd):
 @pytest.fixture(scope="module")
 def wire_rig():
     t0 = time.perf_counter()
-    geom = linear_array(WIRE_M, PITCH)
+    geom = ArrayGeometry(WIRE_M, PITCH)
     phantom = make_wire_phantom(pair_separation=WIRE_SEP)
     clean = synthesize_rf(phantom, geom, PULSE, FS)
-    delays = compute_delays(geom, WIRE_GRID, FS)
     frame50 = add_noise(clean, NoiseSpec(target_snr_db=50.0, seed=7))
     envs50 = {
-        kind: reconstruct_envelope_from_delays(
-            frame50, delays, WIRE_GRID, kind, filter_spec=SIDELOBE_BANDS[kind]
-        )[0]
+        kind: reconstruct_envelope(frame50, WIRE_GRID, kind, filter_spec=SIDELOBE_BANDS[kind])[0]
         for kind in KINDS
     }
     elapsed50 = time.perf_counter() - t0
     frame_noisy = add_noise(clean, NoiseSpec(target_snr_db=-10.0, seed=7))
     envs_noisy = {
-        kind: reconstruct_envelope_from_delays(
-            frame_noisy, delays, WIRE_GRID, kind, filter_spec=NOISE_BANDS[kind]
-        )[0]
+        kind: reconstruct_envelope(frame_noisy, WIRE_GRID, kind, filter_spec=NOISE_BANDS[kind])[0]
         for kind in KINDS
     }
     return {"envs50": envs50, "envs_noisy": envs_noisy, "elapsed50": elapsed50}
@@ -130,17 +124,11 @@ def wire_rig():
 
 @pytest.fixture(scope="module")
 def cyst_rig():
-    geom = linear_array(CYST_M, PITCH)
+    geom = ArrayGeometry(CYST_M, PITCH)
     phantom = make_cyst_phantom(seed=2024)
     clean = synthesize_rf(phantom, geom, PULSE, FS)
     frame = add_noise(clean, NoiseSpec(target_snr_db=20.0, seed=11))
-    delays = compute_delays(geom, CYST_GRID, FS)
-    return {
-        kind: reconstruct_envelope_from_delays(
-            frame, delays, CYST_GRID, kind, filter_spec=NOISE_BANDS[kind]
-        )[0]
-        for kind in KINDS
-    }
+    return {kind: reconstruct_envelope(frame, CYST_GRID, kind, filter_spec=NOISE_BANDS[kind])[0] for kind in KINDS}
 
 
 def apparent_peak(env, grid, z, x, z_halfwin=2e-3, x_halfwin=1.2e-3):
@@ -259,12 +247,14 @@ def test_criterion_05_sidelobe_ordering(wire_rig):
     envs = wire_rig["envs50"]
     lines = []
     ok = True
+    measured = []
     for z in (32e-3, 63e-3):
         levels = {}
         for kind in KINDS:
             iz, ix = apparent_peak(envs[kind], WIRE_GRID, z, 0.0)
             levels[kind] = first_sidelobe_right(row_db(envs[kind], iz), ix)
         das, dmas, dsd = (levels[k] for k in KINDS)
+        measured.append(levels)
         ok &= dmas <= das - 10.0 and dsd <= dmas - 8.0
         lines.append(
             f"z={z * 1e3:.0f}mm das={das:.2f} dmas={dmas:.2f} dsdmas={dsd:.2f} "
@@ -273,11 +263,7 @@ def test_criterion_05_sidelobe_ordering(wire_rig):
     elapsed = wire_rig["elapsed50"]
     ok &= elapsed < 60.0
     report(5, ok, "; ".join(lines) + f"; chain {elapsed:.1f}s (< 60 s)")
-    for z in (32e-3, 63e-3):
-        levels = {}
-        for kind in KINDS:
-            iz, ix = apparent_peak(envs[kind], WIRE_GRID, z, 0.0)
-            levels[kind] = first_sidelobe_right(row_db(envs[kind], iz), ix)
+    for levels in measured:
         assert levels[BeamformerKind.DMAS] <= levels[BeamformerKind.DAS] - 10.0
         assert levels[BeamformerKind.DSDMAS] <= levels[BeamformerKind.DMAS] - 8.0
     assert elapsed < 60.0
@@ -299,20 +285,19 @@ def test_criterion_06_fwhm_monotonicity(wire_rig):
     envs = wire_rig["envs50"]
     rows = []
     ok = True
+    measured = []
     for z, wx in WIRE_TARGETS:
         widths = {
             kind: fwhm(windowed_profile(envs[kind], WIRE_GRID, z, wx, 3e-3)) for kind in KINDS
         }
         das, dmas, dsd = (widths[k] for k in KINDS)
+        measured.append(widths)
         gap1 = (das - dmas) / das
         gap2 = (dmas - dsd) / dmas
         ok &= gap1 >= 0.05 and gap2 >= 0.05
         rows.append(f"z={z * 1e3:.0f}: {das:.2f}/{dmas:.2f}/{dsd:.2f}mm ({gap1:.0%},{gap2:.0%})")
     report(6, ok, " ".join(rows) + " (each gap >= 5%)")
-    for z, wx in WIRE_TARGETS:
-        widths = {
-            kind: fwhm(windowed_profile(envs[kind], WIRE_GRID, z, wx, 3e-3)) for kind in KINDS
-        }
+    for widths in measured:
         das, dmas, dsd = (widths[k] for k in KINDS)
         assert dsd < dmas < das
         assert (das - dmas) / das >= 0.05
@@ -400,7 +385,7 @@ def test_criterion_09_dsp_unit_suite():
 
 
 def test_criterion_10_noise_calibration():
-    geom = linear_array(32, PITCH)
+    geom = ArrayGeometry(32, PITCH)
     frame = synthesize_rf(make_wire_phantom(), geom, PULSE, FS)
     p_signal = signal_power(frame.samples)
     worst = 0.0

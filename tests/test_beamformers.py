@@ -9,16 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from usbeam import (
+    ArrayGeometry,
     BeamformerKind,
     DelayTable,
     RfFrame,
     beamform_image,
     beamform_pixel,
     beamformers,
-    compute_delays,
     dmas_pixel_naive,
     fetch_delayed,
-    linear_array,
     op_count,
     stage_one_terms,
 )
@@ -265,22 +264,22 @@ class TestBeamformImage:
     @pytest.fixture()
     def scene(self):
         rng = np.random.default_rng(12)
-        geom = linear_array(8, 0.3e-3)
+        geom = ArrayGeometry(8, 0.3e-3)
         frame = RfFrame(samples=rng.normal(size=(8, 200)), fs=100e6, f0=3e6, geometry=geom)
         grid = ImageGrid(x_min=-1e-3, x_max=1e-3, z_min=0.5e-3, z_max=1.4e-3, nx=5, nz=7)
-        delays = compute_delays(geom, grid, frame.fs)
+        delays = DelayTable(geom, grid, frame.fs)
         return frame, delays
 
     @pytest.mark.parametrize("kind", list(BeamformerKind))
     def test_matches_per_pixel_kernels(self, scene, kind):
         frame, delays = scene
         image, ops = beamform_image(frame, delays, kind)
-        nz, nx, _ = delays.values.shape
+        nz, nx = delays.grid.nz, delays.grid.nx
         assert image.shape == (nz, nx)
         assert ops == op_count(kind, frame.element_count)
         for i in range(nz):
             for j in range(nx):
-                xd = fetch_delayed(frame, delays.values[i, j])
+                xd = fetch_delayed(frame, delays.column(j)[i])
                 expected = beamform_pixel(xd, kind)
                 assert image[i, j] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
@@ -308,7 +307,7 @@ class TestBeamformImage:
 
     def test_rejects_mismatched_frame(self, scene):
         _, delays = scene
-        other = RfFrame(samples=np.zeros((5, 50)), fs=100e6, f0=3e6, geometry=linear_array(5, 0.3e-3))
+        other = RfFrame(samples=np.zeros((5, 50)), fs=100e6, f0=3e6, geometry=ArrayGeometry(5, 0.3e-3))
         with pytest.raises(ValueError):
             beamform_image(other, delays, BeamformerKind.DAS)
 
@@ -320,13 +319,13 @@ class TestBeamformImage:
 
     def test_rejects_mismatched_sound_speed(self, scene):
         frame, delays = scene
-        slow = compute_delays(linear_array(8, 0.3e-3, sound_speed=1400.0), delays.grid, frame.fs)
+        slow = DelayTable(ArrayGeometry(8, 0.3e-3, sound_speed=1400.0), delays.grid, frame.fs)
         with pytest.raises(ValueError, match=r"sound_speed=1400\.0\), frame recorded by .*sound_speed=1540\.0\)$"):
             beamform_image(frame, slow, BeamformerKind.DAS)
 
     def test_rejects_a_table_for_another_pitch_before_any_gather(self, scene, monkeypatch):
         frame, delays = scene
-        narrow = compute_delays(linear_array(8, 0.2e-3), delays.grid, frame.fs)
+        narrow = DelayTable(ArrayGeometry(8, 0.2e-3), delays.grid, frame.fs)
         calls = []
         monkeypatch.setattr(beamformers, "fetch_delayed", lambda *args: calls.append(args))
         with pytest.raises(
@@ -343,7 +342,7 @@ class TestBeamformImage:
     def single_column_scene(self, scene):
         frame, delays = scene
         grid = ImageGrid(x_min=0.2e-3, x_max=0.2e-3, z_min=0.5e-3, z_max=1.4e-3, nx=1, nz=7)
-        return frame, compute_delays(delays.geometry, grid, frame.fs)
+        return frame, DelayTable(delays.geometry, grid, frame.fs)
 
     @pytest.mark.parametrize("scene_name", ["scene", "single_column_scene"])
     @pytest.mark.parametrize("kind", list(BeamformerKind))
@@ -405,7 +404,7 @@ class TestBeamformImage:
     def test_columns_equal_the_unpaired_reference(self, scene, x_min, nx, kind, workers, cpus):
         frame, _ = scene
         grid = ImageGrid(x_min=x_min, x_max=1e-3, z_min=0.5e-3, z_max=1.4e-3, nx=nx, nz=7)
-        delays = compute_delays(frame.geometry, grid, frame.fs)
+        delays = DelayTable(frame.geometry, grid, frame.fs)
         assert delays.mirrored == (x_min == -1e-3)
         cpus(workers)
         image, _ = beamform_image(frame, delays, kind)
@@ -417,7 +416,7 @@ class TestBeamformImage:
     def test_computes_one_delay_block_per_mirror_pair(self, scene, monkeypatch, x_min, computed):
         frame, _ = scene
         grid = ImageGrid(x_min=x_min, x_max=1e-3, z_min=0.5e-3, z_max=1.4e-3, nx=5, nz=7)
-        delays = compute_delays(frame.geometry, grid, frame.fs)
+        delays = DelayTable(frame.geometry, grid, frame.fs)
         column = DelayTable.column
         calls = []
 
@@ -430,9 +429,9 @@ class TestBeamformImage:
         assert sorted(calls) == list(range(computed))
 
     def test_propagates_kernel_preconditions(self):
-        geom = linear_array(2, 0.3e-3)
+        geom = ArrayGeometry(2, 0.3e-3)
         frame = RfFrame(samples=np.zeros((2, 50)), fs=100e6, f0=3e6, geometry=geom)
         grid = ImageGrid(x_min=0.0, x_max=0.0, z_min=1e-3, z_max=1e-3, nx=1, nz=1)
-        delays = compute_delays(geom, grid, frame.fs)
+        delays = DelayTable(geom, grid, frame.fs)
         with pytest.raises(ValueError):
             beamform_image(frame, delays, BeamformerKind.DSDMAS)

@@ -28,15 +28,14 @@ from usbeam import (
     PulseModel,
     beamformers,
     cli,
-    compute_delays,
     containers,
-    linear_array,
     pipeline,
     rfmodel,
     synthesize_rf,
 )
 from usbeam.config import RunConfig
 from usbeam.dsp import FilterSpec
+from usbeam.geometry import compute_delays, linear_array
 
 # (module, name) pairs the workloads call
 CALLED = [

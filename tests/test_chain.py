@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from usbeam import (
+    ArrayGeometry,
     BeamformerKind,
+    DelayTable,
     ImageGrid,
     NoiseSpec,
     Phantom,
@@ -21,14 +23,12 @@ from usbeam import (
     RfFrame,
     add_noise,
     beamform_image,
-    compute_delays,
-    linear_array,
     reconstruct_envelope,
     synthesize_rf,
 )
 
 FS = 100e6
-GEOMETRY = linear_array(8, 0.3e-3)
+GEOMETRY = ArrayGeometry(8, 0.3e-3)
 # x_min = -x_max, so mirroring the columns mirrors the lateral axis
 GRID = ImageGrid(x_min=-1.5e-3, x_max=1.5e-3, z_min=9e-3, z_max=15e-3, nx=7, nz=200)
 X_BOUNDS, Z_BOUNDS = (-1e-3, 1e-3), (10e-3, 12e-3)
@@ -72,7 +72,7 @@ def mirror_mismatch(frame, kind):
 def test_grid_reads_the_padding_beyond_the_recorded_window():
     frame = synthesize_rf(Phantom(np.array([[0.0, 11e-3, 1.0], CORNER])),
                           GEOMETRY, PulseModel(f0=3e6), FS)
-    delays = compute_delays(GEOMETRY, GRID, FS)
+    delays = DelayTable(GEOMETRY, GRID, FS)
     assert np.max(delays.column(0)) > frame.sample_count
 
 
@@ -90,7 +90,7 @@ def test_power_of_two_scaling_scales_every_envelope_exactly(frame):
 @property_settings
 @given(a=frames(), b=frames())
 def test_das_superposes_two_frames(a, b):
-    delays = compute_delays(GEOMETRY, GRID, FS)
+    delays = DelayTable(GEOMETRY, GRID, FS)
     both = beamform_image(with_samples(a, a.samples + b.samples), delays, BeamformerKind.DAS)[0]
     parts = (beamform_image(a, delays, BeamformerKind.DAS)[0]
              + beamform_image(b, delays, BeamformerKind.DAS)[0])

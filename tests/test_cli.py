@@ -55,12 +55,12 @@ class TestSimulate:
         assert a.read_bytes() == b.read_bytes()
 
     def test_header_round_trip(self, wire_rf):
-        frame, pitch = read_rf(wire_rf)
+        frame, _ = read_rf(wire_rf)
         assert frame.element_count == 16
         assert frame.fs == 100e6
         assert frame.f0 == 3e6
         assert frame.c == 1540.0
-        assert pitch > 0
+        assert frame.geometry.pitch > 0
 
     def test_summary_reports_realized_snr(self, tmp_path, capsys):
         out = str(tmp_path / "noisy.urf")
@@ -85,6 +85,17 @@ class TestSimulate:
         assert run(["simulate", "--phantom", "cysts", "--snr-db=nan", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: target_snr_db")
         assert calls == []
+        assert not out.exists()
+
+    def test_refused_allocation_is_one_error_line(self, monkeypatch, tmp_path, capsys):
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 10.9 TiB for an array with shape (1500000000000,)")
+
+        monkeypatch.setattr(cli, "synthesize_rf", refuse)
+        out = tmp_path / "x.urf"
+        assert run(["simulate", "--phantom", "wires", "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: Unable to allocate 10.9 TiB")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from usbeam import ArrayGeometry, ImageGrid, RfFrame, containers, linear_array
+from usbeam import ArrayGeometry, ImageGrid, RfFrame, containers
 from usbeam.containers import (
     atomic_write,
     db_to_gray,
@@ -23,15 +23,15 @@ from usbeam.containers import (
 @pytest.fixture()
 def frame():
     rng = np.random.default_rng(17)
-    return RfFrame(samples=rng.normal(size=(6, 500)), fs=100e6, f0=3e6, geometry=linear_array(6, 0.3e-3))
+    return RfFrame(samples=rng.normal(size=(6, 500)), fs=100e6, f0=3e6, geometry=ArrayGeometry(6, 0.3e-3))
 
 
 class TestRfContainer:
     def test_round_trip(self, frame, tmp_path):
         path = str(tmp_path / "frame.urf")
         write_rf(path, frame)
-        loaded, pitch = read_rf(path)
-        assert pitch == 0.3e-3
+        loaded, _ = read_rf(path)
+        assert loaded.geometry.pitch == 0.3e-3
         assert (loaded.fs, loaded.f0, loaded.geometry) == (frame.fs, frame.f0, frame.geometry)
         # float32 quantization applied exactly once at write time
         assert np.array_equal(loaded.samples, frame.samples.astype("<f4").astype(float))
@@ -45,7 +45,7 @@ class TestRfContainer:
         assert (tmp_path / "a.urf").read_bytes() == (tmp_path / "b.urf").read_bytes()
 
     def test_file_size_64x6000(self, tmp_path):
-        frame = RfFrame(samples=np.zeros((64, 6000)), fs=100e6, f0=3e6, geometry=linear_array(64, 0.3e-3))
+        frame = RfFrame(samples=np.zeros((64, 6000)), fs=100e6, f0=3e6, geometry=ArrayGeometry(64, 0.3e-3))
         path = tmp_path / "size.urf"
         write_rf(str(path), frame)
         assert path.stat().st_size == 64 + 4 * 64 * 6000 == 1_536_064
@@ -148,8 +148,10 @@ class TestImageContainer:
 
     def test_shape_mismatch_rejected(self, tmp_path):
         grid = ImageGrid(x_min=0, x_max=1e-3, z_min=1e-3, z_max=2e-3, nx=4, nz=4)
-        with pytest.raises(ValueError):
+        message = "image shape (3, 4) does not match the grid's (nz, nx) = (4, 4)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             write_image(str(tmp_path / "x.uim"), np.zeros((3, 4)), grid)
+        assert not (tmp_path / "x.uim").exists()
 
     def test_wrong_magic_rejected(self, frame, tmp_path):
         path = str(tmp_path / "cross.urf")
@@ -220,8 +222,8 @@ def assert_reads_finite_or_raises_value_error(read, path):
     except ValueError:
         return
     if read is read_rf:
-        frame, pitch = loaded
-        metadata = [frame.fs, frame.f0, frame.c, pitch]
+        frame, _ = loaded
+        metadata = [frame.fs, frame.f0, frame.c, frame.geometry.pitch]
     else:
         grid = loaded[1]
         metadata = [grid.x_min, grid.x_max, grid.z_min, grid.z_max]
@@ -234,9 +236,9 @@ class TestContainerProperties:
     def test_rf_round_trip_is_float32_quantization(self, tmp_path_factory, drawn):
         path = str(tmp_path_factory.mktemp("rf") / "f.urf")
         write_rf(path, drawn)
-        loaded, loaded_pitch = read_rf(path)
+        loaded, _ = read_rf(path)
         assert (loaded.fs, loaded.f0, loaded.geometry) == (drawn.fs, drawn.f0, drawn.geometry)
-        assert loaded_pitch == drawn.geometry.pitch
+        assert loaded.geometry.pitch == drawn.geometry.pitch
         assert np.array_equal(loaded.samples, drawn.samples.astype("<f4").astype(float))
 
     @property_settings

@@ -1,5 +1,5 @@
-"""NumPy is the package's only runtime dependency, and ``workers.py`` is
-its only user of threads.
+"""NumPy is the package's only runtime dependency, ``workers.py`` is its
+only user of threads, and the package exports one name for each thing.
 
 Every module under ``src/usbeam/`` is parsed, not imported, and each
 import statement in it, at any depth, must name the standard library,
@@ -9,6 +9,7 @@ import statement in it, at any depth, must name the standard library,
 
 import ast
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -43,3 +44,16 @@ def test_module_imports_only_stdlib_and_numpy(path):
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "workers.py"], ids=lambda path: path.name)
 def test_only_workers_imports_threads(path):
     assert sorted(roots_of(path) & CONCURRENCY) == []
+
+
+def test_package_exports_one_name_for_each_thing():
+    import usbeam  # here, so the parsed checks above run even if importing fails
+
+    names_by_object = {}
+    for name, value in vars(usbeam).items():
+        if not name.startswith("_") and not isinstance(value, types.ModuleType):
+            names_by_object.setdefault(id(value), []).append(name)
+    assert [names for names in names_by_object.values() if len(names) > 1] == []
+    # the benchmark's second names live only in their modules
+    for name in ("linear_array", "compute_delays", "reconstruct_envelope_from_delays"):
+        assert not hasattr(usbeam, name)

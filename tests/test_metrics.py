@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,26 @@ def test_region_metrics_refuse_non_finite_pixels(bad):
         cr(img, bck, cyst, GRID)
     with pytest.raises(ValueError, match="^snr region holds non-finite pixels$"):
         snr_region(img, cyst, GRID)
+
+
+# Each metric that reads an image on a grid, called on a region or row the
+# 81 x 41 grid holds.
+ON_GRID = {
+    "lateral_profile": lambda img: lateral_profile(img, 30e-3, GRID),
+    "snr_region": lambda img: snr_region(img, RegionSpec.disc(0.0, 30e-3, 2e-3), GRID),
+    "cr": lambda img: cr(img, RegionSpec.disc(-5e-3, 30e-3, 2e-3), RegionSpec.disc(5e-3, 30e-3, 2e-3), GRID),
+    "gcnr": lambda img: gcnr(img, RegionSpec.disc(-5e-3, 30e-3, 2e-3), RegionSpec.disc(5e-3, 30e-3, 2e-3), GRID),
+}
+
+
+# (81, 40) once gave lateral_profile 41 positions beside 40 values, and the
+# region metrics an IndexError
+@pytest.mark.parametrize("shape", [(81, 40), (80, 41), (41, 81), (81,)])
+@pytest.mark.parametrize("metric", ON_GRID)
+def test_metrics_refuse_an_image_that_does_not_match_the_grid(metric, shape):
+    message = f"image shape {shape} does not match the grid's (nz, nx) = (81, 41)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ON_GRID[metric](np.ones(shape))
 
 
 class TestGcnr:

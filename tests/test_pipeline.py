@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from usbeam import (
+    ArrayGeometry,
     BeamformerKind,
     FilterSpec,
     ImageGrid,
@@ -13,23 +14,22 @@ from usbeam import (
     Phantom,
     PulseModel,
     add_noise,
-    compute_delays,
     default_filter,
-    linear_array,
     make_wire_phantom,
     pipeline,
     reconstruct_envelope,
-    reconstruct_envelope_from_delays,
     synthesize_rf,
 )
 from usbeam.dsp import design_bandpass
+from usbeam.geometry import compute_delays
+from usbeam.pipeline import reconstruct_envelope_from_delays
 
 FS = 100e6
 
 
 @pytest.fixture(scope="module")
 def scene():
-    geom = linear_array(8, 0.3e-3)
+    geom = ArrayGeometry(8, 0.3e-3)
     phantom = Phantom(np.array([[0.0, 33e-3, 1.0]]))
     frame = synthesize_rf(phantom, geom, PulseModel(f0=3e6), FS)
     grid = ImageGrid(x_min=-1e-3, x_max=1e-3, z_min=30e-3, z_max=36e-3, nx=5, nz=300)
@@ -106,15 +106,14 @@ def test_reconstruction_holds_one_image(cpus):
     # are small next to the 2 MB image, so a second image-sized buffer alive
     # at once shows in the peak.
     cpus(2)
-    geom = linear_array(4, 0.3e-3)
+    geom = ArrayGeometry(4, 0.3e-3)
     phantom = Phantom(np.array([[0.0, 40e-3, 1.0]]))
     frame = synthesize_rf(phantom, geom, PulseModel(f0=3e6), FS)
     grid = ImageGrid(x_min=-2e-3, x_max=2e-3, z_min=30e-3, z_max=50e-3, nx=512, nz=512)
-    delays = compute_delays(geom, grid, FS)
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        env, _ = reconstruct_envelope_from_delays(frame, delays, grid, BeamformerKind.DAS)
+        env, _ = reconstruct_envelope(frame, grid, BeamformerKind.DAS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -137,7 +136,7 @@ def oracle_scene():
     spec = importlib.util.spec_from_file_location("column_oracle", path)
     oracle = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(oracle)
-    geom = linear_array(64, 0.5 * ORACLE_C / ORACLE_F0, ORACLE_C)
+    geom = ArrayGeometry(64, 0.5 * ORACLE_C / ORACLE_F0, ORACLE_C)
     clean = synthesize_rf(make_wire_phantom(), geom, PulseModel(f0=ORACLE_F0, cycles=2), FS)
     frame = add_noise(clean, NoiseSpec(target_snr_db=-10.0, seed=7))
     ex = oracle.element_positions(geom.element_count, geom.pitch)

@@ -10,7 +10,6 @@ from usbeam import (
     Phantom,
     RfFrame,
     fetch_delayed,
-    linear_array,
     signed_sqrt,
 )
 
@@ -18,7 +17,7 @@ from usbeam import (
 def make_frame(samples, fs=100e6, f0=3e6, c=1540.0):
     """A frame recorded by a 0.3 mm-pitch array with one element per row."""
     samples = np.asarray(samples, dtype=float)
-    return RfFrame(samples=samples, fs=fs, f0=f0, geometry=linear_array(len(samples), 0.3e-3, c))
+    return RfFrame(samples=samples, fs=fs, f0=f0, geometry=ArrayGeometry(len(samples), 0.3e-3, c))
 
 
 def test_frame_validation():
@@ -32,13 +31,13 @@ def test_frame_validation():
 
 def test_frame_rejects_zero_elements():
     with pytest.raises(ValueError, match="one element per sample row"):
-        RfFrame(samples=np.zeros((0, 8)), fs=100e6, f0=3e6, geometry=linear_array(1, 0.3e-3))
+        RfFrame(samples=np.zeros((0, 8)), fs=100e6, f0=3e6, geometry=ArrayGeometry(1, 0.3e-3))
 
 
 @pytest.mark.parametrize("rows,elements", [(3, 4), (4, 3), (1, 2)])
 def test_frame_rejects_an_array_of_another_element_count(rows, elements):
     with pytest.raises(ValueError, match="^geometry must be an ArrayGeometry with one element per sample row$"):
-        RfFrame(samples=np.zeros((rows, 8)), fs=100e6, f0=3e6, geometry=linear_array(elements, 0.3e-3))
+        RfFrame(samples=np.zeros((rows, 8)), fs=100e6, f0=3e6, geometry=ArrayGeometry(elements, 0.3e-3))
 
 
 @pytest.mark.parametrize("geometry", [None, 1540.0, (2, 0.3e-3, 1540.0)])

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from usbeam import (
+    ArrayGeometry,
     NoiseSpec,
     Phantom,
     PulseModel,
     add_noise,
-    linear_array,
     make_cyst_phantom,
     make_tumor_phantom,
     make_wire_phantom,
@@ -134,7 +134,7 @@ class TestPhantoms:
         # a z moved above the array face after the check never reaches synthesis
         pts = np.array([[0.0, 12e-3, 1.0], [1e-3, 15e-3, 0.5]])
         phantom = Phantom(pts)
-        geom = linear_array(8, 0.3e-3)
+        geom = ArrayGeometry(8, 0.3e-3)
         before = synthesize_rf(phantom, geom, PULSE, FS).samples
         pts[1, 1] = -5e-3
         assert np.array_equal(synthesize_rf(phantom, geom, PULSE, FS).samples, before)
@@ -184,7 +184,7 @@ class TestPulse:
         with pytest.raises(ValueError, match="^fs must be finite and positive"):
             pulse_waveform(PULSE, fs)
         with pytest.raises(ValueError, match="^fs must be finite and positive"):
-            synthesize_rf(point_phantom(0.0, 10e-3), linear_array(4, 0.3e-3), PULSE, fs)
+            synthesize_rf(point_phantom(0.0, 10e-3), ArrayGeometry(4, 0.3e-3), PULSE, fs)
 
     def test_pulse_validation(self):
         with pytest.raises(ValueError):
@@ -196,7 +196,7 @@ class TestPulse:
 class TestSynthesize:
     def test_peak_arrival_time(self):
         # on-axis scatterer: channel peak at fs*2z/c plus the pulse's own peak
-        geom = linear_array(5, 0.3e-3)
+        geom = ArrayGeometry(5, 0.3e-3)
         z = 20e-3
         frame = synthesize_rf(point_phantom(0.0, z), geom, PULSE, FS)
         p = round_trip_pulse(PULSE, FS)
@@ -205,7 +205,7 @@ class TestSynthesize:
         assert abs(np.argmax(np.abs(mid_channel)) - expected) <= 2
 
     def test_zero_amplitude_scatterer_contributes_nothing(self):
-        geom = linear_array(4, 0.3e-3)
+        geom = ArrayGeometry(4, 0.3e-3)
         base = Phantom(np.array([[0.0, 10e-3, 1.0], [1e-3, 12e-3, -0.5]]))
         with_zero = Phantom(np.array([[0.0, 10e-3, 1.0], [0.5e-3, 11e-3, 0.0], [1e-3, 12e-3, -0.5]]))
         a = synthesize_rf(base, geom, PULSE, FS)
@@ -213,19 +213,19 @@ class TestSynthesize:
         assert np.array_equal(a.samples, b.samples)
 
     def test_coincident_scatterers_superpose_exactly(self):
-        geom = linear_array(4, 0.3e-3)
+        geom = ArrayGeometry(4, 0.3e-3)
         single = synthesize_rf(point_phantom(0.5e-3, 15e-3), geom, PULSE, FS)
         double = Phantom(np.array([[0.5e-3, 15e-3, 1.0], [0.5e-3, 15e-3, 1.0]]))
         assert np.array_equal(synthesize_rf(double, geom, PULSE, FS).samples, 2.0 * single.samples)
 
     def test_linear_in_amplitude(self):
-        geom = linear_array(6, 0.3e-3)
+        geom = ArrayGeometry(6, 0.3e-3)
         one = synthesize_rf(point_phantom(-0.4e-3, 18e-3, 1.0), geom, PULSE, FS)
         scaled = synthesize_rf(point_phantom(-0.4e-3, 18e-3, -2.5), geom, PULSE, FS)
         assert np.allclose(scaled.samples, -2.5 * one.samples, rtol=1e-12, atol=1e-15)
 
     def test_mirror_symmetry(self):
-        geom = linear_array(8, 0.3e-3)
+        geom = ArrayGeometry(8, 0.3e-3)
         left = synthesize_rf(point_phantom(-0.9e-3, 14e-3), geom, PULSE, FS)
         right = synthesize_rf(point_phantom(0.9e-3, 14e-3), geom, PULSE, FS)
         assert np.allclose(left.samples, right.samples[::-1, :], atol=1e-9)
@@ -236,7 +236,7 @@ class TestSynthesize:
         # k0 + n.
         phantom = speckle_phantom(8)
         scatterers = phantom.scatterers
-        geom = linear_array(6, 0.3e-3)
+        geom = ArrayGeometry(6, 0.3e-3)
         frame = synthesize_rf(phantom, geom, PULSE, FS)
 
         p = round_trip_pulse(PULSE, FS)
@@ -255,7 +255,7 @@ class TestSynthesize:
     def test_output_does_not_depend_on_worker_count(self, cpus):
         # 7 channels: two or three workers take unequal shares
         phantom = speckle_phantom(9)
-        geom = linear_array(7, 0.3e-3)
+        geom = ArrayGeometry(7, 0.3e-3)
         cpus(1)
         serial = synthesize_rf(phantom, geom, PULSE, FS).samples
         for count in (2, 3, 64):
@@ -268,7 +268,7 @@ class TestSynthesize:
         # vectors.
         cpus(2)
         phantom = speckle_phantom(10)
-        geom = linear_array(64, 0.3e-3)
+        geom = ArrayGeometry(64, 0.3e-3)
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
@@ -279,7 +279,7 @@ class TestSynthesize:
         assert (peak - entry) / frame.samples.nbytes <= 2.5
 
     def test_rejects_empty_phantom(self):
-        geom = linear_array(4, 0.3e-3)
+        geom = ArrayGeometry(4, 0.3e-3)
         empty = Phantom(np.zeros((0, 3)))
         with pytest.raises(ValueError):
             synthesize_rf(empty, geom, PULSE, FS)
@@ -293,7 +293,7 @@ class TestSynthesize:
             ([[0.0, 10e-3, 1.0]], 64),
         ]
         for scatterers, m in scenes:
-            geom = linear_array(m, HALF_WAVE_PITCH)
+            geom = ArrayGeometry(m, HALF_WAVE_PITCH)
             s = np.array(scatterers)
             x_max, z_max = float(np.max(np.abs(s[:, 0]))), float(np.max(s[:, 1]))
             r = math.hypot(x_max + float(np.max(np.abs(geom.element_x))), z_max)
@@ -313,11 +313,11 @@ class TestSynthesize:
         (make_tumor_phantom, 128, 7179),
     ], ids=["wire-rig", "cli-wires", "cysts-64", "cysts-128", "tumor-128"])
     def test_shipped_scene_frame_lengths(self, make, m, length):
-        frame = synthesize_rf(make(), linear_array(m, HALF_WAVE_PITCH), PULSE, FS)
+        frame = synthesize_rf(make(), ArrayGeometry(m, HALF_WAVE_PITCH), PULSE, FS)
         assert frame.sample_count == length
 
     def test_deeper_silent_scatterer_only_appends_zeros(self):
-        geom = linear_array(8, 0.3e-3)
+        geom = ArrayGeometry(8, 0.3e-3)
         wire = np.array([[0.4e-3, 12e-3, 1.0]])
         short = synthesize_rf(Phantom(wire), geom, PULSE, FS).samples
         deeper = Phantom(np.vstack([wire, [[0.0, 20e-3, 0.0]]]))
@@ -328,7 +328,7 @@ class TestSynthesize:
         assert not np.any(long[:, k:])
 
     def test_frame_carries_the_array_through_noise(self):
-        geom = linear_array(4, 0.2e-3, sound_speed=1480.0)
+        geom = ArrayGeometry(4, 0.2e-3, sound_speed=1480.0)
         clean = synthesize_rf(point_phantom(0.0, 20e-3), geom, PULSE, FS)
         noisy = add_noise(clean, NoiseSpec(target_snr_db=10.0, seed=1))
         assert clean.geometry is geom and noisy.geometry is geom
@@ -337,7 +337,7 @@ class TestSynthesize:
 
 @pytest.fixture(scope="module")
 def frame():
-    geom = linear_array(8, 0.3e-3)
+    geom = ArrayGeometry(8, 0.3e-3)
     return synthesize_rf(point_phantom(0.0, 20e-3), geom, PULSE, FS)
 
 
@@ -379,6 +379,6 @@ class TestNoise:
     def test_rejects_all_zero_frame(self):
         from usbeam import RfFrame
 
-        silent = RfFrame(samples=np.zeros((4, 100)), fs=FS, f0=3e6, geometry=linear_array(4, 0.3e-3))
+        silent = RfFrame(samples=np.zeros((4, 100)), fs=FS, f0=3e6, geometry=ArrayGeometry(4, 0.3e-3))
         with pytest.raises(ValueError):
             add_noise(silent, NoiseSpec(target_snr_db=10.0))

@@ -194,8 +194,8 @@ ON_GRID = {
 }
 
 
-# (81, 40) once gave lateral_profile 41 positions beside 40 values, and the
-# region metrics an IndexError
+# A column short, a row short, transposed and one-dimensional: unchecked, a
+# column short pairs 41 positions with 40 profile values
 @pytest.mark.parametrize("shape", [(81, 40), (80, 41), (41, 81), (81,)])
 @pytest.mark.parametrize("metric", ON_GRID)
 def test_metrics_refuse_an_image_that_does_not_match_the_grid(metric, shape):

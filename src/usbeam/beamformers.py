@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import DelayTable
+from .geometry import DelayTable, _require_count
 from .rfmodel import RfFrame, fetch_delayed, signed_sqrt
 from .workers import distribute
 
@@ -47,8 +47,10 @@ def op_count(kind: BeamformerKind, element_count: int) -> OpCount:
     M for DAS, M(M-1)/2 + 2(M-1) for DMAS, M(M-1) + 3(M-1) for the
     double-stage form — independent of any algebraic shortcut the
     implementation takes, such as the closed-form pair sums that evaluate
-    DMAS and the second DS-DMAS stage.
+    DMAS and the second DS-DMAS stage. ``element_count`` must be an
+    integer, not a bool.
     """
+    _require_count("element_count", element_count, 0)
     m = int(element_count)
     if kind is BeamformerKind.DAS:
         if m < 1:

@@ -140,12 +140,29 @@ class LateralProfile:
     """Lateral cut through an image at one depth.
 
     x holds the lateral positions in meters; value_db is normalized so its
-    maximum is 0 dB. depth is the actual row depth.
+    maximum is 0 dB. depth is the actual row depth. x and value_db are 1-D
+    and of one length; x is finite and never decreases, and value_db holds
+    no NaN (-inf, the level of a zero amplitude, is allowed).
     """
 
     depth: float
     x: np.ndarray
     value_db: np.ndarray
+
+    def __post_init__(self):
+        for name in ("x", "value_db"):
+            if np.ndim(getattr(self, name)) != 1:
+                raise ValueError(f"{name} must be 1-D, got shape {np.shape(getattr(self, name))}")
+        x = np.asarray(self.x, dtype=float)
+        value_db = np.asarray(self.value_db, dtype=float)
+        if x.size != value_db.size:
+            raise ValueError(f"x and value_db must have one length, got {x.size} and {value_db.size}")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("x must be finite")
+        if np.any(np.diff(x) < 0):
+            raise ValueError("x must not decrease")
+        if np.any(np.isnan(value_db)):
+            raise ValueError("value_db must not hold NaN")
 
 
 def lateral_profile(image: np.ndarray, depth: float, grid: ImageGrid) -> LateralProfile:

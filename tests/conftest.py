@@ -2,6 +2,8 @@ import os
 
 import pytest
 
+from test_acceptance import build_cyst_rig, build_wire_rig
+
 
 @pytest.fixture()
 def cpus(monkeypatch):
@@ -12,3 +14,14 @@ def cpus(monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
     return set_count
+
+
+# The rigs are built once per test module and freed when its tests end.
+@pytest.fixture(scope="module")
+def wire_rig():
+    return build_wire_rig()
+
+
+@pytest.fixture(scope="module")
+def cyst_rig():
+    return build_cyst_rig()

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import io
+import math
 import os
 import re
 import struct
@@ -867,9 +868,9 @@ def cli_scenes(draw):
     return simulate, beamform
 
 
-def runs_or_names_an_error(argv) -> bool:
+def run_or_error(argv):
     """Run one command: it must exit 0, or exit 1 with one stderr line that
-    starts ``error: ``. True when it exits 0."""
+    starts ``error: ``. Returns that line, or None when it exits 0."""
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         try:
@@ -879,7 +880,7 @@ def runs_or_names_an_error(argv) -> bool:
     lines = err.getvalue().splitlines()
     ok = (code, lines) == (0, []) or (code == 1 and len(lines) == 1 and lines[0].startswith("error: "))
     assert ok, (argv, code, err.getvalue())
-    return code == 0
+    return lines[0] if code else None
 
 
 # Every setting is written --flag=value, so no value is read as a flag. A
@@ -892,11 +893,69 @@ def test_well_formed_settings_run_or_name_an_error(scene):
     simulate, beamform = scene
     with tempfile.TemporaryDirectory() as tmp:
         rf = os.path.join(tmp, "frame.urf")
-        if not runs_or_names_an_error(["simulate", *(f"--{k}={v}" for k, v in simulate.items()),
-                                       f"--out={rf}"]):
+        if run_or_error(["simulate", *(f"--{k}={v}" for k, v in simulate.items()), f"--out={rf}"]):
             return
         for kind in BeamformerKind:
             image = os.path.join(tmp, f"{kind.value}.uim")
-            if runs_or_names_an_error(["beamform", rf, f"--algo={kind.value}",
-                                       *(f"--{k}={v}" for k, v in beamform.items()), f"--out={image}"]):
-                runs_or_names_an_error(["render", image, f"--out={image}.pgm"])
+            if not run_or_error(["beamform", rf, f"--algo={kind.value}",
+                                 *(f"--{k}={v}" for k, v in beamform.items()), f"--out={image}"]):
+                run_or_error(["render", image, f"--out={image}.pgm"])
+
+
+# Millimetre values: the edge cases of a float, and values near the blob
+# image below.
+millimetres = st.one_of(
+    st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf, 1e308, 1e-320]),
+    st.sampled_from([15.0, 1.0, 2.0, -1.5, 1.5]),
+    st.floats(-25.0, 25.0),
+)
+# One row of each kind that the blob image can measure; the drawn lines
+# replace up to two of its values, and drop or add one.
+PLACED_ROWS = {
+    "snr": [15.0, 0.0, 2.0, 1.0],
+    "fwhm": [15.0, 0.0, 2.0],
+    "sidelobe": [15.0, 0.0, 3.0],
+    "cr": [15.0, -1.5, 1.0, 1.5, 1.0],
+    "gcnr": [15.0, -1.5, 1.0, 1.5, 1.0],
+}
+
+
+@st.composite
+def region_lines(draw):
+    kind = draw(st.sampled_from(sorted(PLACED_ROWS)))
+    values = list(PLACED_ROWS[kind])
+    for i in draw(st.sets(st.integers(0, len(values) - 1), max_size=2)):
+        values[i] = draw(millimetres)
+    count = len(values) + draw(st.integers(-1, 1))
+    values = (values + [draw(millimetres)])[:count]
+    return ",".join([kind, *map(repr, values)])
+
+
+@pytest.fixture(scope="module")
+def blob_image(tmp_path_factory):
+    """An image container holding one Gaussian blob at x = 0, z = 15 mm over
+    a rippled floor of up to 2 %, and a directory for the commands' files."""
+    workdir = tmp_path_factory.mktemp("blob")
+    grid = ImageGrid(x_min=-4e-3, x_max=4e-3, z_min=10e-3, z_max=20e-3, nx=33, nz=41)
+    x, z = grid.x_axis[None, :], grid.z_axis[:, None]
+    env = np.exp(-((x / 0.6e-3) ** 2) - ((z - 15e-3) / 1e-3) ** 2) + 0.01 * (1.0 + np.cos(7e3 * (x + z)))
+    write_image(str(workdir / "blob.uim"), env, grid)
+    return workdir
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.lists(region_lines(), min_size=1, max_size=3))
+def test_metrics_rows_run_or_name_their_line(blob_image, lines):
+    regions = blob_image / "regions.csv"
+    regions.write_text("".join(line + "\n" for line in lines))
+    error = run_or_error(["metrics", str(blob_image / "blob.uim"), f"--regions={regions}"])
+    if error:
+        named = re.match(r"error: regions line (\d+): ", error)
+        assert named and 1 <= int(named[1]) <= len(lines), (lines, error)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(millimetres, st.one_of(millimetres, st.floats(1.0, 120.0)))
+def test_profile_settings_run_or_name_an_error(blob_image, depth_mm, dynamic_range):
+    run_or_error(["profile", str(blob_image / "blob.uim"), f"--depth-mm={depth_mm!r}",
+                  f"--dynamic-range={dynamic_range!r}", f"--out={blob_image / 'profile.csv'}"])

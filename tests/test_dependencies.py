@@ -1,5 +1,6 @@
 """NumPy is the package's only runtime dependency, ``workers.py`` is its
-only user of threads, and the package exports one name for each thing.
+only user of threads, the acceptance suite imports no test framework, and
+the package exports one name for each thing.
 
 Every module under ``src/usbeam/`` is parsed, not imported, and each
 import statement in it, at any depth, must name the standard library,
@@ -44,6 +45,12 @@ def test_module_imports_only_stdlib_and_numpy(path):
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "workers.py"], ids=lambda path: path.name)
 def test_only_workers_imports_threads(path):
     assert sorted(roots_of(path) & CONCURRENCY) == []
+
+
+# The benchmark loads the acceptance suite by path in each child it
+# measures, so what the suite imports counts in the program's memory.
+def test_acceptance_suite_imports_only_stdlib_numpy_and_usbeam():
+    assert sorted(roots_of(Path(__file__).with_name("test_acceptance.py")) - ALLOWED - {"usbeam"}) == []
 
 
 def test_package_exports_one_name_for_each_thing():

@@ -349,6 +349,35 @@ class TestLateralProfile:
         with pytest.raises(ValueError, match="^requested depth nan lies outside the grid$"):
             lateral_profile(db_image, np.nan, GRID)
 
+    # Each of these profiles would be misread: fwhm gives a negative width
+    # when x decreases, reads only the first positions when value_db is
+    # shorter, and takes a NaN for a missing half-maximum crossing.
+    X = np.linspace(-1e-3, 1e-3, 101)
+    DB = -60.0 * (X / 1e-3) ** 2
+
+    @pytest.mark.parametrize("x,value_db,message", [
+        (X[None, :], DB, "x must be 1-D, got shape (1, 101)"),
+        (X, DB[None, :], "value_db must be 1-D, got shape (1, 101)"),
+        (X, DB[:80], "x and value_db must have one length, got 101 and 80"),
+        (np.where(X == X[0], np.nan, X), DB, "x must be finite"),
+        (np.where(X == X[-1], np.inf, X), DB, "x must be finite"),
+        (X[::-1], DB, "x must not decrease"),
+        (np.where(X == X[60], 0.0, X), DB, "x must not decrease"),
+        (X, np.where(X == X[30], np.nan, DB), "value_db must not hold NaN"),
+    ], ids=["x-2d", "value-2d", "lengths", "x-nan", "x-inf", "x-decreasing", "x-dips", "value-nan"])
+    def test_refuses_what_the_profile_metrics_would_misread(self, x, value_db, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LateralProfile(depth=30e-3, x=x, value_db=value_db)
+
+    def test_accepts_zero_amplitudes_and_repeated_positions(self):
+        # a zero amplitude reads -inf dB: 49 unit samples 0.02 mm apart, each
+        # half-maximum crossing midway to the zero beside them
+        profile = profile_from_amplitude(self.X, np.where(np.abs(self.X) < 0.49e-3, 1.0, 0.0))
+        assert fwhm(profile) == pytest.approx(0.98)
+        # a zero-width grid repeats x
+        grid = ImageGrid(x_min=0.0, x_max=0.0, z_min=10e-3, z_max=50e-3, nx=5, nz=81)
+        assert np.array_equal(lateral_profile(np.zeros((81, 5)), 30e-3, grid).x, np.zeros(5))
+
 
 class TestSidelobeLevel:
     def test_two_lobe_profile(self):

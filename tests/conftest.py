@@ -1,8 +1,15 @@
 import os
 
 import pytest
+from hypothesis import settings
 
 from test_acceptance import build_cyst_rig, build_wire_rig
+
+# The one property-test policy: every run draws the same examples, keeps
+# none between runs and has no time limit per example. Each test sets only
+# its max_examples.
+settings.register_profile("usbeam", derandomize=True, database=None, deadline=None)
+settings.load_profile("usbeam")
 
 
 @pytest.fixture()

@@ -25,6 +25,7 @@ import numpy as np
 from usbeam import (
     ArrayGeometry,
     BeamformerKind,
+    DelayTable,
     FilterSpec,
     ImageGrid,
     LateralProfile,
@@ -37,6 +38,7 @@ from usbeam import (
     beamform_pixel,
     dmas_pixel_naive,
     envelope_image,
+    fetch_delayed,
     fwhm,
     log_compress,
     make_cyst_phantom,
@@ -44,10 +46,12 @@ from usbeam import (
     op_count,
     reconstruct_envelope,
     signal_power,
+    signed_sqrt,
     snr_region,
     stage_one_terms,
     synthesize_rf,
 )
+from usbeam.beamformers import _couple
 from usbeam.metrics import cr as contrast_ratio
 from usbeam.metrics import gcnr
 from usbeam.simulator import CYST_DEPTHS, CYST_WIDE_X
@@ -140,7 +144,22 @@ def build_cyst_rig():
     phantom = make_cyst_phantom(seed=2024)
     clean = synthesize_rf(phantom, geom, PULSE, FS)
     frame = add_noise(clean, NoiseSpec(target_snr_db=20.0, seed=11))
-    return {kind: reconstruct_envelope(frame, CYST_GRID, kind, filter_spec=NOISE_BANDS[kind])[0] for kind in KINDS}
+    envs = {kind: reconstruct_envelope(frame, CYST_GRID, kind, filter_spec=NOISE_BANDS[kind])[0] for kind in KINDS}
+    return {"envs": envs, "frame": frame}
+
+
+def stage_two_coherence(frame, region, grid):
+    """Mean over a region's pixels of |sum s_k|^2 / ((M - 1) sum s_k^2), where
+    s_k is the signed square root of DS-DMAS stage-one term k: 1 when every
+    stage-two input has one sign and magnitude, about 1 / (M - 1) for
+    random signs."""
+    mask = region.mask(grid)
+    delays = DelayTable(frame.geometry, grid, frame.fs)
+    ratios = []
+    for j in np.flatnonzero(mask.any(axis=0)):
+        s = signed_sqrt(_couple(fetch_delayed(frame, delays.column(j)[mask[:, j]]).T))
+        ratios.append(s.sum(axis=0) ** 2 / (s.shape[0] * np.sum(s * s, axis=0)))
+    return float(np.mean(np.concatenate(ratios)))
 
 
 def apparent_peak(env, grid, z, x, z_halfwin=2e-3, x_halfwin=1.2e-3):
@@ -354,7 +373,9 @@ def test_criterion_07_snr_ordering_under_heavy_noise(wire_rig):
 
 
 def test_criterion_08_cr_ordering(cyst_rig):
+    envs = cyst_rig["envs"]
     rows = []
+    coherence = []
     ok = True
     measured = []
     for depth in CYST_DEPTHS:
@@ -362,15 +383,19 @@ def test_criterion_08_cr_ordering(cyst_rig):
         cyst = RegionSpec.disc(CYST_WIDE_X, depth, 3e-3)
         background = RegionSpec.disc(-CYST_WIDE_X, depth, 3e-3)
         values = {
-            kind: contrast_ratio(cyst_rig[kind], cyst, background, CYST_GRID) for kind in KINDS
+            kind: contrast_ratio(envs[kind], cyst, background, CYST_GRID) for kind in KINDS
         }
         das, dmas, dsd = (values[k] for k in KINDS)
         measured.append(values)
         ok &= dsd <= dmas - 5.0 and dmas - 5.0 <= das - 10.0
         # gCNR is reported beside CR, not asserted
-        g = "/".join(f"{gcnr(cyst_rig[k], cyst, background, CYST_GRID):.3f}" for k in KINDS)
+        g = "/".join(f"{gcnr(envs[k], cyst, background, CYST_GRID):.3f}" for k in KINDS)
         rows.append(f"z={depth * 1e3:.0f}: {das:.1f}/{dmas:.1f}/{dsd:.1f}dB gCNR {g}")
-    report(8, ok, " ".join(rows) + " (need dsdmas <= dmas-5 <= das-10)")
+        # reported, not asserted: how alike in sign the stage-two inputs are
+        inside, outside = (stage_two_coherence(cyst_rig["frame"], r, CYST_GRID) for r in (cyst, background))
+        coherence.append(f"z={depth * 1e3:.0f}: {inside:.3f}/{outside:.3f}")
+    report(8, ok, " ".join(rows) + " (need dsdmas <= dmas-5 <= das-10); stage-two sign coherence "
+           f"cyst/background {' '.join(coherence)} (random signs {1 / (CYST_M - 1):.3f})")
     for values in measured:
         das, dmas, dsd = (values[k] for k in KINDS)
         assert dsd <= dmas - 5.0

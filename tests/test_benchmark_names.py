@@ -195,9 +195,9 @@ def test_beamform_image_returns_image_and_op_count(tiny):
     assert isinstance(ops, OpCount) and ops.total > 0
 
 
-def test_gather_can_be_replaced_by_a_two_argument_function(tiny, monkeypatch):
+def test_gather_can_be_replaced_by_a_two_argument_function(tiny, monkeypatch, cpus):
     # the tracer's gather counter takes exactly (frame, delays) and counts
-    # delays.size // delays.shape[-1] pixels per call
+    # delays.size // delays.shape[-1] pixels per call, from worker threads too
     frame, delays, grid = tiny
     expected, _ = pipeline.beamform_image(frame, delays, BeamformerKind.DAS)
     original = beamformers.fetch_delayed
@@ -207,6 +207,7 @@ def test_gather_can_be_replaced_by_a_two_argument_function(tiny, monkeypatch):
         calls.append(delays.shape)
         return original(frame, delays)
 
+    cpus(2)
     monkeypatch.setattr(beamformers, "fetch_delayed", counted)
     image, _ = pipeline.beamform_image(frame, delays, BeamformerKind.DAS)
     assert calls == [(grid.nz, frame.element_count)] * grid.nx

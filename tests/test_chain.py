@@ -36,7 +36,7 @@ X_BOUNDS, Z_BOUNDS = (-1e-3, 1e-3), (10e-3, 12e-3)
 # scene's frame length and changes no sample.
 CORNER = (X_BOUNDS[1], Z_BOUNDS[1], 0.0)
 
-property_settings = settings(max_examples=20, derandomize=True, database=None, deadline=None)
+property_settings = settings(max_examples=20)
 
 wires = st.lists(
     st.tuples(st.floats(*X_BOUNDS), st.floats(*Z_BOUNDS), st.floats(0.1, 1.0)),

@@ -176,7 +176,7 @@ class TestImageContainer:
             read_image(str(path))
 
 
-property_settings = settings(max_examples=30, derandomize=True, database=None, deadline=None)
+property_settings = settings(max_examples=30)
 values = st.floats(-1e30, 1e30)  # finite after float32 quantization
 sizes = st.integers(1, 6)
 

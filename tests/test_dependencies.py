@@ -1,6 +1,7 @@
 """NumPy is the package's only runtime dependency, ``workers.py`` is its
-only user of threads, the acceptance suite imports no test framework, and
-the package exports one name for each thing.
+only user of threads, the acceptance suite imports no test framework, the
+package exports one name for each thing, and the property tests share one
+Hypothesis policy.
 
 Every module under ``src/usbeam/`` is parsed, not imported, and each
 import statement in it, at any depth, must name the standard library,
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "usbeam"
+TESTS = sorted(p for p in Path(__file__).resolve().parent.glob("*.py") if p.name != "conftest.py")
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
 CONCURRENCY = {"threading", "concurrent"}
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -29,8 +31,12 @@ def imported_roots(tree):
             yield node.module.split(".")[0]
 
 
+def parsed(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
 def roots_of(path):
-    return set(imported_roots(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))))
+    return set(imported_roots(parsed(path)))
 
 
 def test_package_has_modules():
@@ -64,3 +70,21 @@ def test_package_exports_one_name_for_each_thing():
     # the benchmark's second names live only in their modules
     for name in ("linear_array", "compute_delays", "reconstruct_envelope_from_delays"):
         assert not hasattr(usbeam, name)
+
+
+def settings_calls(path):
+    for node in ast.walk(parsed(path)):
+        if isinstance(node, ast.Call) and "settings" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            yield node
+
+
+# tests/conftest.py loads the one profile (derandomized, no database, no
+# deadline); a test that passed more than its example count would leave it
+def test_property_tests_set_only_their_example_count():
+    extra = [
+        f"{path.name}:{call.lineno}"
+        for path in TESTS
+        for call in settings_calls(path)
+        if call.args or [keyword.arg for keyword in call.keywords] != ["max_examples"]
+    ]
+    assert extra == []

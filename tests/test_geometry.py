@@ -233,7 +233,7 @@ column_counts = st.one_of(
     st.integers(2, 150).map(lambda k: 2 * k),
 )
 extents = st.floats(1e-6, 1.0)
-mirror_settings = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+mirror_settings = settings(max_examples=60)
 
 
 @mirror_settings

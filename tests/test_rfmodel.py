@@ -209,7 +209,7 @@ def edge_case(k):
     return samples, delays
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200)
 @given(case=gather_cases())
 @example(case=edge_case(1))
 @example(case=edge_case(2))

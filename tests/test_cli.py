@@ -47,6 +47,14 @@ GRID_FLAGS = [
 
 
 class TestSimulate:
+    def test_seeded_runs_are_byte_identical(self, tmp_path):
+        args = ["simulate", "--phantom", "wires", "--elements", "8",
+                "--snr-db", "20", "--seed", "3"]
+        a, b = tmp_path / "a.urf", tmp_path / "b.urf"
+        assert run(args + ["--out", str(a)]) == 0
+        assert run(args + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_header_round_trip(self, wire_rf):
         frame, _ = read_rf(wire_rf)
         assert frame.element_count == 16

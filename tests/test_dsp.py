@@ -62,6 +62,10 @@ class TestFilterSpec:
 
 
 class TestBandpass:
+    def test_dc_rejection(self):
+        out = bandpass_image(np.ones((2000, 1)), SPEC, FS)
+        assert np.max(np.abs(out)) <= 0.01
+
     def test_band_too_narrow_for_its_taps_is_degenerate(self):
         # 3 taps at 100 MHz give no gain at a 1 kHz center
         with pytest.raises(ValueError, match="^degenerate filter design: no gain at the center frequency$"):
@@ -70,6 +74,11 @@ class TestBandpass:
     def test_dc_gain_is_null(self):
         h = design_bandpass(SPEC, FS)
         assert abs(h.sum()) < 1e-12
+
+    def test_center_tone_within_1db(self):
+        out = bandpass_image(tone(2 * F0), SPEC, FS)
+        mid = np.max(np.abs(out[1500:2500]))
+        assert 0.89 <= mid <= 1.12
 
     def test_impulse_response_is_symmetric_taps(self):
         x = np.zeros((301, 1))
@@ -120,6 +129,11 @@ class TestBandpass:
 class TestEnvelope:
     def test_zero_sequence(self):
         assert np.array_equal(envelope_image(np.zeros((64, 1))), np.zeros((64, 1)))
+
+    def test_tone_envelope_flat(self):
+        env = envelope_image(tone(F0, n=4000))
+        inner = env[200:-200]
+        assert np.all(np.abs(inner - 1.0) < 0.02)
 
     def test_amplitude_homogeneity(self):
         x = tone(F0, n=2048)
@@ -235,6 +249,14 @@ class TestLogCompress:
     def test_dynamic_range_must_be_finite_and_positive(self, dynamic_range):
         with pytest.raises(ValueError, match="dynamic_range must be finite and positive"):
             log_compress(np.array([[1.0, 0.5]]), dynamic_range)
+
+    def test_power_of_two_scaling_is_exact(self):
+        rng = np.random.default_rng(4)
+        img = np.abs(rng.normal(size=(20, 30))) + 0.01
+        base = log_compress(img, 70.0)
+        for k in (-6, -1, 3, 9):
+            scaled = log_compress(img * 2.0**k, 70.0)
+            assert np.array_equal(base, scaled)
 
     def test_arbitrary_scaling_within_rounding(self):
         rng = np.random.default_rng(5)

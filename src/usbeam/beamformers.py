@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import DelayTable, _require_count
+from .geometry import DelayTable, ImageGrid, _require_count
 from .rfmodel import RfFrame, fetch_delayed, signed_sqrt
 from .workers import distribute
 
@@ -155,16 +155,15 @@ def stage_one_terms(delayed) -> np.ndarray:
     return _couple(_vector(delayed, BeamformerKind.DSDMAS))
 
 
-def beamform_image(frame: RfFrame, delays: DelayTable, kind: BeamformerKind):
-    """Apply a beamforming kernel at every pixel of a delay table's grid.
+def beamform_image(frame: RfFrame, grid: ImageGrid, kind: BeamformerKind):
+    """Apply a beamforming kernel at every pixel of a grid.
 
     Parameters
     ----------
     frame : RfFrame
-        Channel data; its array and sampling rate must equal the delay
-        table's.
-    delays : DelayTable
-        ``DelayTable(frame.geometry, grid, frame.fs)`` on the grid to image.
+        Channel data; its array and sampling rate give the delays,
+        ``DelayTable(frame.geometry, grid, frame.fs)``, built here.
+    grid : ImageGrid
     kind : BeamformerKind
 
     Returns
@@ -190,14 +189,11 @@ def beamform_image(frame: RfFrame, delays: DelayTable, kind: BeamformerKind):
     depend on it. An error in any thread is raised here once every thread
     has finished, and no partial image is returned.
     """
-    if delays.geometry != frame.geometry:
-        raise ValueError(f"delay table built for {delays.geometry}, frame recorded by {frame.geometry}")
-    if delays.fs != frame.fs:
-        raise ValueError(f"delay table built for fs={delays.fs:.6g} Hz, frame sampled at fs={frame.fs:.6g} Hz")
     ops = op_count(kind, frame.element_count)
+    delays = DelayTable(frame.geometry, grid, frame.fs)
     kernel = _KERNELS[kind]
-    nx = delays.grid.nx
-    out = np.empty((delays.grid.nz, nx))
+    nx = grid.nx
+    out = np.empty((grid.nz, nx))
 
     def fill(items) -> None:
         for j in items:

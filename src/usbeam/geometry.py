@@ -81,6 +81,9 @@ class ImageGrid:
             raise ValueError("z_min must be positive (imaging starts below the array face)")
         if self.x_max < self.x_min or self.z_max < self.z_min:
             raise ValueError("grid extents must satisfy x_min <= x_max and z_min <= z_max")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.all(np.isfinite(self.x_axis)):
+                raise ValueError(f"lateral positions of {self} are not all finite")
 
     @property
     def x_axis(self) -> np.ndarray:
@@ -126,11 +129,11 @@ class DelayTable:
 
     The table is a descriptor of (geometry, grid, fs) that computes the
     delays on demand: ``column(j)`` gives the (nz, element_count) delays of
-    image column j, so nothing holds the full table. The grid axes are
-    built once, with the table. Building it computes only the two edge
-    columns, where the largest delay lies, and refuses a table whose
-    largest delay overflows float64, naming the grid, so every delay is
-    finite.
+    image column j, so nothing holds the full table; ``beamform_image``
+    builds one from each frame's array and fs. The grid axes are built
+    once, with the table. Building it computes only the two edge columns,
+    where the largest delay lies, and refuses a table whose largest delay
+    overflows float64, naming the grid, so every delay is finite.
 
     ``mirrored`` is true on a grid centred on the array (``x_min ==
     -x_max``, compared exactly), whose ``x_axis`` is antisymmetric, so
@@ -147,9 +150,9 @@ class DelayTable:
     def __post_init__(self):
         _require_finite_positive("fs", self.fs)
         object.__setattr__(self, "mirrored", self.grid.x_min == -self.grid.x_max)
+        object.__setattr__(self, "_x_axis", self.grid.x_axis)
         object.__setattr__(self, "_z_axis", self.grid.z_axis)
-        with np.errstate(over="ignore", invalid="ignore"):
-            object.__setattr__(self, "_x_axis", self.grid.x_axis)
+        with np.errstate(over="ignore"):
             # the largest delay lies in an edge column, at the deepest row
             if not np.all(np.isfinite([self.column(0)[-1], self.column(-1)[-1]])):
                 raise ValueError(f"delays overflow float64 on {self.grid} at fs={self.fs!r}")

@@ -56,16 +56,16 @@ def reconstruct_envelope_from_delays(
     kind: BeamformerKind,
     filter_spec: FilterSpec | None = None,
 ):
-    """:func:`reconstruct_envelope` after its delays, on a table built on
-    ``grid``; a second entry point, kept because perfbench/ calls and wraps
-    it."""
-    if grid != delays.grid:
-        raise ValueError(f"grid {grid} differs from the delay table's grid {delays.grid}")
+    """:func:`reconstruct_envelope` after its delays, which must be
+    ``DelayTable(frame.geometry, grid, frame.fs)``; a second entry point,
+    kept because perfbench/ calls and wraps it."""
+    if (delays.geometry, delays.grid, delays.fs) != (frame.geometry, grid, frame.fs):
+        raise ValueError(f"{delays} is not the table of {frame.geometry} on {grid} at fs={frame.fs!r}")
     spec = filter_spec or default_filter(kind, frame.f0)
     axial_rate = axial_sample_rate(grid, frame.c)
     spec.validate_line(grid.nz, axial_rate)  # fail before beamforming, not after
     # The band-pass and the envelope transform the beamformer's output in
     # place, so the chain holds one (nz, nx) image and returns that buffer.
-    image, ops = beamform_image(frame, delays, kind)
+    image, ops = beamform_image(frame, grid, kind)
     bandpass_image(image, spec, axial_rate)
     return envelope_image(image), ops

@@ -189,8 +189,8 @@ def test_reconstruction_returns_a_pair_led_by_the_envelope(tiny):
 
 def test_beamform_image_returns_image_and_op_count(tiny):
     # the tracer unpacks ``image, ops`` and reads ``ops.total``
-    frame, delays, grid = tiny
-    image, ops = pipeline.beamform_image(frame, delays, BeamformerKind.DSDMAS)
+    frame, _, grid = tiny
+    image, ops = pipeline.beamform_image(frame, grid, BeamformerKind.DSDMAS)
     assert isinstance(image, np.ndarray) and image.shape == (grid.nz, grid.nx)
     assert isinstance(ops, OpCount) and ops.total > 0
 
@@ -198,8 +198,8 @@ def test_beamform_image_returns_image_and_op_count(tiny):
 def test_gather_can_be_replaced_by_a_two_argument_function(tiny, monkeypatch, cpus):
     # the tracer's gather counter takes exactly (frame, delays) and counts
     # delays.size // delays.shape[-1] pixels per call, from worker threads too
-    frame, delays, grid = tiny
-    expected, _ = pipeline.beamform_image(frame, delays, BeamformerKind.DAS)
+    frame, _, grid = tiny
+    expected, _ = pipeline.beamform_image(frame, grid, BeamformerKind.DAS)
     original = beamformers.fetch_delayed
     calls = []
 
@@ -209,7 +209,7 @@ def test_gather_can_be_replaced_by_a_two_argument_function(tiny, monkeypatch, cp
 
     cpus(2)
     monkeypatch.setattr(beamformers, "fetch_delayed", counted)
-    image, _ = pipeline.beamform_image(frame, delays, BeamformerKind.DAS)
+    image, _ = pipeline.beamform_image(frame, grid, BeamformerKind.DAS)
     assert calls == [(grid.nz, frame.element_count)] * grid.nx
     assert np.array_equal(image, expected)
 

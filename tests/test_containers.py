@@ -160,17 +160,20 @@ class TestImageContainer:
             read_image(path)
 
     # header offsets: x_min at byte 12, x_max at 20, z_min at 28
-    @pytest.mark.parametrize("offset,value,message", [
-        (12, np.nan, "grid extent x_min must be finite, got nan"),
-        (28, 0.0, "z_min must be positive (imaging starts below the array face)"),
-        (28, -5e-3, "z_min must be positive (imaging starts below the array face)"),
-        (20, -5e-3, "grid extents must satisfy x_min <= x_max and z_min <= z_max"),
-    ], ids=["nan-x_min", "zero-z_min", "negative-z_min", "x_max-below-x_min"])
-    def test_reader_names_the_file_of_an_invalid_grid(self, tmp_path, offset, value, message):
+    @pytest.mark.parametrize("fields,message", [
+        ({12: np.nan}, "grid extent x_min must be finite, got nan"),
+        ({28: 0.0}, "z_min must be positive (imaging starts below the array face)"),
+        ({28: -5e-3}, "z_min must be positive (imaging starts below the array face)"),
+        ({20: -5e-3}, "grid extents must satisfy x_min <= x_max and z_min <= z_max"),
+        ({12: -1.7e308, 20: 1.7e308}, "lateral positions of ImageGrid(x_min=-1.7e+308, x_max=1.7e+308, "
+                                      "z_min=0.001, z_max=0.002, nx=2, nz=2) are not all finite"),
+    ], ids=["nan-x_min", "zero-z_min", "negative-z_min", "x_max-below-x_min", "x-span"])
+    def test_reader_names_the_file_of_an_invalid_grid(self, tmp_path, fields, message):
         path = tmp_path / "bad.uim"
         write_image(str(path), *image_with_pixel(1.0))
         raw = bytearray(path.read_bytes())
-        raw[offset : offset + 8] = struct.pack("<d", value)
+        for offset, value in fields.items():
+            raw[offset : offset + 8] = struct.pack("<d", value)
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
             read_image(str(path))

@@ -1,5 +1,7 @@
 import importlib.util
+import re
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -44,12 +46,22 @@ def test_from_delays_matches_one_call_on_an_equal_grid(scene):
     assert np.array_equal(env, reconstruct_envelope(frame, grid, BeamformerKind.DAS)[0])
 
 
-def test_from_delays_rejects_a_grid_other_than_the_delays(scene):
+# Each table differs from the frame's own on the scene's grid in one respect.
+@pytest.mark.parametrize("table", [
+    lambda geom, grid: compute_delays(geom, replace(grid, z_max=38e-3), FS),
+    lambda geom, grid: compute_delays(replace(geom, pitch=0.2e-3), grid, FS),
+    lambda geom, grid: compute_delays(replace(geom, sound_speed=1400.0), grid, FS),
+    lambda geom, grid: compute_delays(geom, grid, 50e6),
+], ids=["grid", "pitch", "sound-speed", "fs"])
+def test_from_delays_rejects_a_table_other_than_the_frames(scene, monkeypatch, table):
     frame, geom, grid = scene
-    delays = compute_delays(geom, grid, FS)
-    deeper = ImageGrid(x_min=-1e-3, x_max=1e-3, z_min=30e-3, z_max=38e-3, nx=5, nz=300)
-    with pytest.raises(ValueError, match="differs from the delay table's grid"):
-        reconstruct_envelope_from_delays(frame, delays, deeper, BeamformerKind.DAS)
+    delays = table(geom, grid)
+    calls = []
+    monkeypatch.setattr(pipeline, "beamform_image", lambda *args: calls.append(args))
+    message = f"{delays} is not the table of {geom} on {grid} at fs={FS!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        reconstruct_envelope_from_delays(frame, delays, grid, BeamformerKind.DAS)
+    assert calls == []
 
 
 # Both band-pass rules fail before any beamforming: 70 rows over 30 mm sample
